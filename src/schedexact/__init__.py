@@ -36,6 +36,7 @@ from .dp import (
     solve_filtered_labeled,
     suffix_trace,
 )
+from .sidney import sidney_blocks
 from .structure import (
     ComparabilityGraph,
     MatchingResult,

@@ -47,9 +47,10 @@ class DpStats:
         return f"{self.states_expanded},{self.states_rejected},{self.peak_table_size}"
 
     def add(self, other: "DpStats") -> None:
+        """Sum the state counts; the peak is the largest single table."""
         self.states_expanded += other.states_expanded
         self.states_rejected += other.states_rejected
-        self.peak_table_size += other.peak_table_size
+        self.peak_table_size = max(self.peak_table_size, other.peak_table_size)
 
 
 def max_elements(inst: Instance, x: int) -> int:
@@ -158,7 +159,10 @@ def solve_filtered(
             last[x] = bv
         return best
 
-    total = visit(full)
+    try:
+        total = visit(full)
+    finally:
+        del visit  # visit refers to itself: free the tables without the cyclic GC
     stats = DpStats(len(cost), len(rejected), len(cost) + len(rejected))
     if total is None:
         raise Infeasible("no ordering survives the acceptance predicate")
@@ -260,11 +264,14 @@ def solve_filtered_labeled(
 
     best_total: int | None = None
     best_lab = 0
-    for lab in starts:
-        total = visit(full, lab)
-        if total is not None and (best_total is None or total < best_total):
-            best_total = total
-            best_lab = lab
+    try:
+        for lab in starts:
+            total = visit(full, lab)
+            if total is not None and (best_total is None or total < best_total):
+                best_total = total
+                best_lab = lab
+    finally:
+        del visit  # as in solve_filtered
     stats = DpStats(len(cost), len(rejected), len(cost) + len(rejected) + len(invalid))
     if best_total is None:
         raise Infeasible("no ordering survives the acceptance predicate")

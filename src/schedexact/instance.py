@@ -203,6 +203,27 @@ def succ_set(inst: Instance, jobs: int) -> int:
     return out
 
 
+def induced_instance(inst: Instance, jobs: list[int]) -> Instance:
+    """The instance on the listed jobs alone; job i of it is jobs[i].
+
+    The relation restricted to a subset stays transitively closed.
+    """
+    index = {v: i for i, v in enumerate(jobs)}
+
+    def remap(m: int) -> int:
+        out = 0
+        for v, i in index.items():
+            if m >> v & 1:
+                out |= 1 << i
+        return out
+
+    return Instance(
+        tuple(inst.times[v] for v in jobs),
+        tuple(remap(inst.pred_masks[v]) for v in jobs),
+        tuple(remap(inst.succ_masks[v]) for v in jobs),
+    )
+
+
 def job_cost(inst: Instance, v: int, i: int) -> int:
     """Exact cost of job v at 1-based position i: (n - i + 1) * t(v)."""
     if not 1 <= i <= inst.n:
@@ -304,6 +325,11 @@ def restrict_to_origin(norm: NormalizedInstance, ordering: Ordering) -> Ordering
     return Ordering.from_sequence([v for v in seq if v is not None])
 
 
+def _is_int(x) -> bool:
+    # JSON true and false parse to bool, a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def instance_from_json(text: str) -> Instance:
     """Parse the instance wire format.
 
@@ -323,18 +349,18 @@ def instance_from_json(text: str) -> Instance:
         precedences = payload["precedences"]
     except KeyError as exc:
         raise ValueError(f"missing instance field {exc}") from exc
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"bad job count {n!r}")
     if not isinstance(times, list) or len(times) != n:
         raise ValueError("times must list one entry per job")
     for t in times:
-        if not isinstance(t, int) or t < 0:
+        if not _is_int(t) or t < 0:
             raise ValueError(f"bad processing time {t!r}")
     edges = []
     if not isinstance(precedences, list):
         raise ValueError("precedences must be a list of [u, v] pairs")
     for e in precedences:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise ValueError(f"bad precedence entry {e!r}")
         edges.append((e[0], e[1]))
     return build_instance(times, edges)

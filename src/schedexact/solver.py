@@ -1,9 +1,10 @@
 """Exact solver orchestration: dispatch over branch-and-reduce strategies.
 
 The solver first computes a greedy maximal matching of the comparability
-graph. With enough matched pairs, the downward-closed subset DP is
-already cheap and is used directly. Otherwise the instance is padded,
-perturbed and solved as the minimum over branches:
+graph. With enough matched pairs it takes the dcdp route: the instance is
+cut into Sidney blocks (sidney.py) and the plain subset DP solves each
+block on its own. Otherwise the instance is padded, perturbed and solved
+as the minimum over branches:
 
   * guess the first and the last job (endpoint variants);
   * guess, for every matched or endpoint job, which quarter of the
@@ -33,7 +34,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Iterator, Optional
 
-from .dp import (
+# is_downward_closed is unused here but stays importable: perfbench/spans.py
+# wraps it by this module's name.
+from .dp import (  # noqa: F401
     DpStats,
     Infeasible,
     is_downward_closed,
@@ -46,11 +49,13 @@ from .instance import (
     NormalizedInstance,
     Ordering,
     endpoint_variants,
+    induced_instance,
     normalize,
     ordering_cost,
     restrict_to_origin,
     validate_ordering,
 )
+from .sidney import sidney_blocks
 from .structure import comparability_graph, greedy_maximal_matching
 
 
@@ -196,6 +201,10 @@ class SolveReport:
     wall_ms: float = 0.0
     warnings: tuple[str, ...] = ()
     wq_cap_hit: bool = False
+    # Sidney blocks of the dcdp route and the size of the largest; 0 on
+    # every other route.
+    blocks: int = 0
+    max_block: int = 0
 
     CSV_HEADER = (
         "chosen_path,branches_explored,branches_pruned,variants_total,"
@@ -224,6 +233,8 @@ class SolveReport:
                 "wall_ms": self.wall_ms,
                 "warnings": list(self.warnings),
                 "wq_cap_hit": self.wq_cap_hit,
+                "blocks": self.blocks,
+                "max_block": self.max_block,
             },
             sort_keys=True,
         )
@@ -1125,6 +1136,33 @@ def _solve_variant(
                 _ladder(vinst, ctx, config, wq_cap, search, memos)
 
 
+def _solve_by_blocks(inst: Instance, report: SolveReport) -> tuple[Ordering, int]:
+    """Plain subset DP on each Sidney block, the schedules concatenated.
+
+    A job of a block completes p(earlier blocks) later than in the block's
+    own schedule, which adds |block| * p(earlier blocks) to the block's cost.
+    """
+    seq: list[int] = []
+    total = 0
+    done = 0
+    blocks = sidney_blocks(inst)
+    for block in blocks:
+        jobs = [v for v in range(inst.n) if block >> v & 1]
+        sub_ordering, sub_cost, stats = solve_filtered(induced_instance(inst, jobs))
+        report.stats_total.add(stats)
+        seq.extend(jobs[i] for i in sub_ordering.sequence)
+        total += sub_cost + len(jobs) * done
+        done += sum(inst.times[v] for v in jobs)
+        report.max_block = max(report.max_block, len(jobs))
+    report.blocks = len(blocks)
+    ordering = Ordering.from_sequence(seq)
+    if not validate_ordering(inst, ordering):
+        raise InternalInconsistency("the concatenated block schedules violate a precedence")
+    if ordering_cost(inst, ordering) != total:
+        raise InternalInconsistency("the block costs do not add up to the schedule's cost")
+    return ordering, total
+
+
 def solve(
     inst: Instance,
     config: Optional[EpsilonConfig] = None,
@@ -1149,11 +1187,10 @@ def solve(
 
     matching = greedy_maximal_matching(comparability_graph(inst))
     if Fraction(matching.num_pairs) >= config.eps1 * n:
-        ordering, cost, stats = solve_filtered(inst, lambda x: is_downward_closed(inst, x))
+        ordering, cost = _solve_by_blocks(inst, report)
         report.chosen_path = "dcdp"
         report.branches_explored = 1
-        report.stats_total.add(stats)
-        report.winning_stats = stats
+        report.winning_stats = replace(report.stats_total)
         report.wall_ms = (time.perf_counter() - t0) * 1000
         return ordering, cost, report
 

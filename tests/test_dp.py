@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 import schedexact as sx
@@ -114,6 +117,40 @@ class TestSolveFiltered:
         o, c, stats = sx.solve_filtered(chain, lambda x: sx.is_downward_closed(chain, x))
         assert o.sequence == tuple(range(40))
         assert stats.states_expanded == 41
+
+
+class TestStats:
+    def test_add_sums_states_and_keeps_the_largest_peak(self):
+        total = sx.DpStats()
+        total.add(sx.DpStats(5, 1, 6))
+        total.add(sx.DpStats(3, 0, 3))
+        assert (total.states_expanded, total.states_rejected, total.peak_table_size) == (8, 1, 6)
+
+
+class TestTablesFreed:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst: sx.solve_filtered(inst),
+            lambda inst: sx.solve_filtered_labeled(inst, 0b1111),
+        ],
+    )
+    def test_nothing_held_after_return_without_gc(self, run):
+        # 2^12 states: about half a megabyte if the tables outlived the call
+        inst = sx.build_instance(list(range(1, 13)), [])
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(inst)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert held < 20_000
 
 
 class TestSolveFilteredLabeled:

@@ -237,6 +237,9 @@ class TestJsonInterface:
             '{"n": 2, "times": [1, -1], "precedences": []}',
             '{"n": 2, "times": [1, 1], "precedences": [[0]]}',
             '{"n": "x", "times": [], "precedences": []}',
+            '{"n": true, "times": [1], "precedences": []}',
+            '{"n": 1, "times": [true], "precedences": []}',
+            '{"n": 2, "times": [1, 1], "precedences": [[false, true]]}',
             "not json",
         ],
     )
