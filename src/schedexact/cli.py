@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--algo", choices=ALGOS, default="full")
     p.add_argument("--stats", default=None, help="write a stats CSV here")
-    p.add_argument("--seed", type=int, default=0, help="unused; accepted for harness symmetry")
     _add_eps_flags(p)
     p.set_defaults(fn=cmd_solve)
 

@@ -1,22 +1,30 @@
 """Memoized dynamic programming over job subsets with pluggable pruning.
 
-States are bitmasks. The forward recursion grows a schedule prefix: the
-best cost of a set X picks which maximal element of X goes last, at
-position |X|. The reverse recursion mirrors it over schedule suffixes,
-removing minimal elements placed at position n - |S| + 1. Because every
-transition strips an extreme element, forward states are always downward
-closed and reverse states upward closed; no explicit closure test is
-needed inside the recursion.
+Every DP in the package runs on one engine, SubsetDP. States are
+bitmasks. The forward recursion grows a schedule prefix: the best cost of
+a set X picks which maximal element of X goes last, at position
+offset + |X|. The reverse recursion mirrors it over schedule suffixes,
+removing minimal elements placed at position n - offset - |X| + 1. Because
+every transition strips an extreme element, forward states are always
+downward closed and reverse states upward closed; no explicit closure
+test is needed inside the recursion.
 
 An acceptance predicate may reject states; rejected states contribute
 infinity and their subtrees are never expanded, which is where all the
 pruning leverage comes from.
 
-The labeled variant threads a second set L through the recursion. While
-|state| <= freeze_size, L must equal state & label_domain and shrinks
-with it; above the freeze size L is pinned and its members cannot be
-removed as the extreme element. Terminal states at the full set range
-over the label subsets of size label_target.
+A label set L travels with the state. While |state| <= freeze_size, L
+must equal state & label_domain and shrinks with it; above the freeze
+size L is pinned and its members cannot be removed as the extreme
+element. With label_domain = 0 the label is always empty and the engine
+is the plain subset DP.
+
+The tables live as long as the engine, so visits from several top states
+share them. solve_filtered and solve_filtered_labeled are one-shot
+drivers: build an engine, visit the start state (for the labeled DP with
+freeze_size < n, every label subset of size label_target at the full
+set), rebuild the sequence. The independent-quarters split keeps one
+offset engine per quarter for all the content guesses of a variant.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .instance import Instance, Ordering
 
@@ -90,17 +98,143 @@ def is_downward_closed(inst: Instance, x: int) -> bool:
     return True
 
 
-def _position_multipliers(n: int, reverse: bool) -> list[int]:
-    # mult[s] multiplies t(v) when v is the element stripped from a state of size s.
-    if reverse:
-        return [0] + [s for s in range(1, n + 1)]
-    return [0] + [n - s + 1 for s in range(1, n + 1)]
-
-
 def _recursion_guard(n: int) -> None:
     # Recursion depth equals n plus interpreter frames; lift the limit for big n.
     if sys.getrecursionlimit() < 4 * n + 200:
         sys.setrecursionlimit(4 * n + 200)
+
+
+def subsets_of_size(mask: int, k: int) -> Iterator[int]:
+    """The k-element subsets of mask, in combinations order of its bits."""
+    bits = []
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        bits.append(b)
+    for combo in combinations(bits, k):
+        yield sum(combo)
+
+
+class SubsetDP:
+    """The memoised subset recursion behind every DP strategy.
+
+    A key is a (state, label) pair; label_domain=0 gives the unlabeled DP,
+    whose label is always 0. Removing job v from a state of size s costs
+    (n - offset - s + 1) * t(v) forward and (offset + s) * t(v) in reverse:
+    a forward schedule of the state starts at absolute position offset + 1,
+    a reverse one ends at n - offset. The tables persist across visit()
+    calls, so one engine serves repeated visits from different top states.
+    """
+
+    def __init__(
+        self,
+        inst: Instance,
+        accept: Optional[Callable[[int, int], bool]] = None,
+        *,
+        label_domain: int = 0,
+        freeze_size: Optional[int] = None,
+        reverse: bool = False,
+        offset: int = 0,
+    ):
+        n = inst.n
+        freeze = n if freeze_size is None else freeze_size
+        self.n = n
+        self.freeze = freeze
+        self.reverse = reverse
+        # Every visited key, with None for no surviving path; the rejected
+        # and invalid keys among them are counted apart.
+        self.cost: dict[int, int | None] = {}
+        self.last: dict[int, int] = {}
+        self.dead = dead = [0, 0]  # rejected, invalid
+        cost, last = self.cost, self.last
+        if accept is None and freeze >= n:
+            # With nothing to cut a path every visit ends at the empty
+            # state, so it is tabled (and counted) from the start.
+            cost[0] = 0
+        # mult[s] multiplies t(v) when v is removed from a state of size s.
+        mult = range(offset, offset + n + 1) if reverse else range(n - offset + 1, -offset, -1)
+        times = inst.times
+        blockers = inst.pred_masks if reverse else inst.succ_masks
+        full = inst.full_mask
+        # A key is label << n | state. Removing job v flips its state bit,
+        # and its label bit too while the label still follows the state.
+        frozen_step = [1 << v for v in range(n)]
+        building_step = (
+            [b | (b & label_domain) << n for b in frozen_step] if label_domain else frozen_step
+        )
+        _recursion_guard(n)
+
+        # rec is handed itself rather than closing over its own name: no
+        # reference cycle, so the tables go with the engine, without the GC.
+        def rec(key: int, rec) -> int | None:
+            hit = cost.get(key, _MISS)
+            if hit is not _MISS:
+                return hit
+            x = key & full
+            size = x.bit_count()
+            if size > freeze:
+                # Above the freeze size the label is pinned: its jobs stay put.
+                cand, step = x & ~(key >> n), frozen_step
+            elif key >> n == x & label_domain:
+                cand, step = x, building_step
+            else:
+                dead[1] += 1
+                cost[key] = None
+                return None
+            if accept is not None and not accept(x, key >> n):
+                dead[0] += 1
+                cost[key] = None
+                return None
+            if x == 0:
+                cost[key] = 0
+                return 0
+            m = mult[size]
+            best: int | None = None
+            bv = -1
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                v = b.bit_length() - 1
+                if blockers[v] & x:
+                    continue
+                sub = rec(key ^ step[v], rec)
+                if sub is None:
+                    continue
+                c = sub + m * times[v]
+                if best is None or c < best:
+                    best = c
+                    bv = v
+            cost[key] = best
+            if best is not None:
+                last[key] = bv
+            return best
+
+        self._rec = rec
+
+    def visit(self, x: int, lab: int = 0) -> int | None:
+        """Best cost of (x, lab), or None if no path to the empty state survives."""
+        key = lab << self.n | x
+        hit = self.cost.get(key, _MISS)
+        return self._rec(key, self._rec) if hit is _MISS else hit
+
+    def sequence(self, x: int, lab: int = 0) -> list[int]:
+        """The jobs of x in schedule order along the recorded best choices."""
+        seq = []
+        while x:
+            v = self.last[lab << self.n | x]
+            seq.append(v)
+            b = 1 << v
+            if x.bit_count() <= self.freeze:
+                lab &= ~b
+            x ^= b
+        if not self.reverse:
+            seq.reverse()
+        return seq
+
+    def stats(self) -> DpStats:
+        rejected, invalid = self.dead
+        return DpStats(len(self.cost) - rejected - invalid, rejected, len(self.cost))
 
 
 def solve_filtered(
@@ -114,67 +248,13 @@ def solve_filtered(
     With accept=None this is the plain exhaustive subset DP. Raises
     Infeasible when the full set admits no surviving schedule.
     """
-    n = inst.n
-    full = inst.full_mask
-    times = inst.times
-    blockers = inst.pred_masks if reverse else inst.succ_masks
-    mult = _position_multipliers(n, reverse)
-
-    cost: dict[int, int | None] = {}
-    last: dict[int, int] = {}
-    rejected: set[int] = set()
-    _recursion_guard(n)
-
-    def visit(x: int) -> int | None:
-        hit = cost.get(x, _MISS)
-        if hit is not _MISS:
-            return hit
-        if x in rejected:
-            return None
-        if accept is not None and not accept(x):
-            rejected.add(x)
-            return None
-        if x == 0:
-            cost[0] = 0
-            return 0
-        m = mult[x.bit_count()]
-        best: int | None = None
-        bv = -1
-        cand = x
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            if blockers[v] & x:
-                continue
-            sub = visit(x ^ b)
-            if sub is None:
-                continue
-            c = sub + m * times[v]
-            if best is None or c < best:
-                best = c
-                bv = v
-        cost[x] = best
-        if best is not None:
-            last[x] = bv
-        return best
-
-    try:
-        total = visit(full)
-    finally:
-        del visit  # visit refers to itself: free the tables without the cyclic GC
-    stats = DpStats(len(cost), len(rejected), len(cost) + len(rejected))
+    dp = SubsetDP(
+        inst, None if accept is None else lambda x, _lab: accept(x), reverse=reverse
+    )
+    total = dp.visit(inst.full_mask)
     if total is None:
         raise Infeasible("no ordering survives the acceptance predicate")
-    seq = []
-    x = full
-    while x:
-        v = last[x]
-        seq.append(v)
-        x ^= 1 << v
-    if not reverse:
-        seq.reverse()
-    return Ordering.from_sequence(seq), total, stats
+    return Ordering.from_sequence(dp.sequence(inst.full_mask)), total, dp.stats()
 
 
 def solve_filtered_labeled(
@@ -192,102 +272,26 @@ def solve_filtered_labeled(
     way up and needs no label_target. With freeze_size < n the terminal
     labels enumerate the subsets of label_domain of size label_target.
     """
-    n = inst.n
     full = inst.full_mask
-    times = inst.times
-    blockers = inst.pred_masks if reverse else inst.succ_masks
-    mult = _position_multipliers(n, reverse)
-    freeze = n if freeze_size is None else freeze_size
-    _recursion_guard(n)
-
-    cost: dict[int, int | None] = {}
-    last: dict[int, int] = {}
-    rejected: set[int] = set()
-    invalid: set[int] = set()
-
-    def visit(x: int, lab: int) -> int | None:
-        key = (x << n) | lab
-        hit = cost.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        if key in rejected or key in invalid:
-            return None
-        size = x.bit_count()
-        if size <= freeze and lab != x & label_domain:
-            invalid.add(key)
-            return None
-        if accept is not None and not accept(x, lab):
-            rejected.add(key)
-            return None
-        if x == 0:
-            cost[key] = 0
-            return 0
-        m = mult[size]
-        building = size <= freeze
-        best: int | None = None
-        bv = -1
-        cand = x if building else x & ~lab
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            if blockers[v] & x:
-                continue
-            sub = visit(x ^ b, lab & ~b if building else lab)
-            if sub is None:
-                continue
-            c = sub + m * times[v]
-            if best is None or c < best:
-                best = c
-                bv = v
-        cost[key] = best
-        if best is not None:
-            last[key] = bv
-        return best
-
-    if n <= freeze:
-        starts = [full & label_domain]
+    dp = SubsetDP(
+        inst, accept, label_domain=label_domain, freeze_size=freeze_size, reverse=reverse
+    )
+    if inst.n <= dp.freeze:
+        starts: Iterable[int] = [full & label_domain]
+    elif label_target is None:
+        raise ValueError("label_target is required when freeze_size < n")
     else:
-        if label_target is None:
-            raise ValueError("label_target is required when freeze_size < n")
-        dom_bits = []
-        m = label_domain
-        while m:
-            b = m & -m
-            m ^= b
-            dom_bits.append(b)
-        if label_target > len(dom_bits):
-            raise Infeasible(
-                f"label_target {label_target} exceeds |label_domain| {len(dom_bits)}"
-            )
-        starts = [sum(c) for c in combinations(dom_bits, label_target)]
-
+        starts = subsets_of_size(label_domain, label_target)
     best_total: int | None = None
     best_lab = 0
-    try:
-        for lab in starts:
-            total = visit(full, lab)
-            if total is not None and (best_total is None or total < best_total):
-                best_total = total
-                best_lab = lab
-    finally:
-        del visit  # as in solve_filtered
-    stats = DpStats(len(cost), len(rejected), len(cost) + len(rejected) + len(invalid))
+    for lab in starts:
+        total = dp.visit(full, lab)
+        if total is not None and (best_total is None or total < best_total):
+            best_total = total
+            best_lab = lab
     if best_total is None:
         raise Infeasible("no ordering survives the acceptance predicate")
-
-    seq = []
-    x, lab = full, best_lab
-    while x:
-        v = last[(x << n) | lab]
-        seq.append(v)
-        b = 1 << v
-        if x.bit_count() <= freeze:
-            lab &= ~b
-        x ^= b
-    if not reverse:
-        seq.reverse()
-    return Ordering.from_sequence(seq), best_total, stats
+    return Ordering.from_sequence(dp.sequence(full, best_lab)), best_total, dp.stats()
 
 
 def prefix_trace(ordering: Ordering) -> list[int]:

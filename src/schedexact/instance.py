@@ -11,9 +11,9 @@ completion time of the schedule.
 Normalization pads the job count to a multiple of four with zero-time
 unconstrained dummy jobs and replaces each time t(v) by the integer
 
-    t(v) * B**(n + 2) + B**(pi(v) - 1),      B = n + 1,
+    t(v) * B**(n + 2) + B**v,      B = n + 1,
 
-where pi numbers the jobs in input order. Position coefficients are at
+with v the job's 0-based index. Position coefficients are at
 most n < B, so the low-order part contributed by any schedule stays
 below B**(n + 2): comparing perturbed totals compares the true totals
 first and breaks ties deterministically. Distinct orderings of a
@@ -263,7 +263,6 @@ class NormalizedInstance:
     """Padded and perturbed instance, optionally with fixed first/last jobs."""
 
     base: Instance
-    pi: tuple[int, ...]
     origin_map: tuple[int | None, ...]
     v_begin: int | None = None
     v_end: int | None = None
@@ -283,8 +282,7 @@ def normalize(inst: Instance) -> NormalizedInstance:
     pred = inst.pred_masks + zeros
     succ = inst.succ_masks + zeros
     origin = tuple(range(inst.n)) + (None,) * pad
-    pi = tuple(range(1, n + 1))
-    return NormalizedInstance(Instance(tuple(times), pred, succ), pi, origin)
+    return NormalizedInstance(Instance(tuple(times), pred, succ), origin)
 
 
 def endpoint_variants(norm: NormalizedInstance) -> Iterator[NormalizedInstance]:
@@ -316,7 +314,7 @@ def endpoint_variants(norm: NormalizedInstance) -> Iterator[NormalizedInstance]:
             pred[ve] = full ^ be
             succ[vb] = full ^ bb
             variant = Instance(inst.times, tuple(pred), tuple(succ))
-            yield NormalizedInstance(variant, norm.pi, norm.origin_map, vb, ve)
+            yield NormalizedInstance(variant, norm.origin_map, vb, ve)
 
 
 def restrict_to_origin(norm: NormalizedInstance, ordering: Ordering) -> Ordering:

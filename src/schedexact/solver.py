@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterator, Optional
 
 # is_downward_closed is unused here but stays importable: perfbench/spans.py
@@ -39,9 +39,11 @@ from typing import Callable, Iterator, Optional
 from .dp import (  # noqa: F401
     DpStats,
     Infeasible,
+    SubsetDP,
     is_downward_closed,
     solve_filtered,
     solve_filtered_labeled,
+    subsets_of_size,
 )
 from .exchange import is_pred_exchangeable, is_succ_exchangeable
 from .instance import (
@@ -109,7 +111,7 @@ class EpsilonConfig:
 
     @classmethod
     def default(cls) -> "EpsilonConfig":
-        return cls.make(*cls._DEFAULTS)
+        return _DEFAULT_CONFIG
 
     def dispatch_warnings(self) -> tuple[str, ...]:
         out = []
@@ -126,13 +128,14 @@ class EpsilonConfig:
 
 
 def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
-    return Fraction(str(v))
+    # Through str, so the float 0.3 means 3/10 rather than its binary value.
+    return v if isinstance(v, Fraction) else Fraction(str(v))
+
+
+# Built once: parsing the four decimals and checking the warnings in
+# Fraction arithmetic is a measurable share of a small solve.
+_DEFAULT_CONFIG = EpsilonConfig.make(*EpsilonConfig._DEFAULTS)
+_DEFAULT_WARNINGS = _DEFAULT_CONFIG.dispatch_warnings()
 
 
 @dataclass(frozen=True)
@@ -463,88 +466,14 @@ def conformance_filter(inst: Instance, ctx: BranchContext) -> Callable[[int], bo
 # Independent-quarters split solver.
 
 
-def _subsets_of_size(mask: int, k: int) -> Iterator[int]:
-    bits = []
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        bits.append(b)
-    if k > len(bits):
-        return
-    for combo in combinations(bits, k):
-        yield sum(combo)
+def _quarter_memos(inst: Instance) -> tuple[SubsetDP, ...]:
+    """One unfiltered DP per quarter, over that quarter's absolute positions.
 
-
-class _QuarterMemo:
-    """Subset DP over one quarter's absolute positions.
-
-    The memo depends only on the instance and the quarter, not on the
-    ground set a caller draws from, so one memo serves every content
-    guess inside a variant.
+    A memo depends only on the instance and the quarter, not on the ground
+    set a caller draws from, so one memo serves every content guess
+    inside a variant.
     """
-
-    def __init__(self, inst: Instance, start_pos: int):
-        self.times = inst.times
-        self.succ = inst.succ_masks
-        self.base_coeff = inst.n - start_pos + 2
-        self.memo: dict[int, int] = {0: 0}
-        self.last: dict[int, int] = {}
-
-    def visit(self, z: int) -> int:
-        got = self.memo.get(z)
-        if got is not None:
-            return got
-        coeff = self.base_coeff - z.bit_count()
-        times = self.times
-        succ = self.succ
-        best = None
-        bv = -1
-        cand = z
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            if succ[v] & z:
-                continue
-            c = self.visit(z ^ b) + coeff * times[v]
-            if best is None or c < best:
-                best = c
-                bv = v
-        self.memo[z] = best
-        self.last[z] = bv
-        return best
-
-    def rebuild(self, z: int) -> list[int]:
-        seq = []
-        while z:
-            v = self.last[z]
-            seq.append(v)
-            z ^= 1 << v
-        seq.reverse()
-        return seq
-
-    def states(self) -> int:
-        return len(self.memo)
-
-
-def _quarter_table(inst: Instance, w_mask: int, q_mask: int, quota: int, start_pos: int):
-    """Optimal arrangements of every admissible quarter content.
-
-    For each Y subset of q_mask with |Y| = quota, the cheapest ordering of
-    Y | w_mask over the quarter's absolute positions. Returns (costs keyed
-    by Y, sequence reconstructor, stats).
-    """
-    mem = _QuarterMemo(inst, start_pos)
-    table: dict[int, int] = {}
-    for y in _subsets_of_size(q_mask, quota):
-        table[y] = mem.visit(y | w_mask)
-
-    def rebuild(y: int) -> list[int]:
-        return mem.rebuild(y | w_mask)
-
-    stats = DpStats(mem.states(), 0, mem.states())
-    return table, rebuild, stats
+    return tuple(SubsetDP(inst, offset=lo) for lo, _ in quarter_bounds(inst.n))
 
 
 def _relaxed_bound(inst: Instance, n: int, groups) -> int:
@@ -590,7 +519,6 @@ def solve_independent_case(inst: Instance, ctx: BranchContext, memos=None):
     w_masks = ctx.w_masks(include_quarter_guesses=True)
     qa, qna, qnd, qd = ctx.q_sets()
     grounds = (qa, qna, qnd, qd)
-    bounds = quarter_bounds(n)
     quotas = []
     for g in range(4):
         quota = n // 4 - w_masks[g].bit_count()
@@ -599,126 +527,53 @@ def solve_independent_case(inst: Instance, ctx: BranchContext, memos=None):
         quotas.append(quota)
 
     if memos is None:
-        memos = tuple(_QuarterMemo(inst, bounds[g][0] + 1) for g in range(4))
-    states_before = sum(m.states() for m in memos)
-    tables = []
-    rebuilds = []
-    for g in range(4):
-        mem = memos[g]
-        w = w_masks[g]
-        table = {y: mem.visit(y | w) for y in _subsets_of_size(grounds[g], quotas[g])}
-        tables.append(table)
-        rebuilds.append(lambda y, mem=mem, w=w: mem.rebuild(y | w))
-    states_after = sum(m.states() for m in memos)
+        memos = _quarter_memos(inst)
+    states_before = sum(len(m.cost) for m in memos)
+    tables = [
+        {y: memos[g].visit(y | w_masks[g]) for y in subsets_of_size(grounds[g], quotas[g])}
+        for g in range(4)
+    ]
+    states_after = sum(len(m.cost) for m in memos)
     stats = DpStats(states_after - states_before, 0, states_after)
-    ta, tb, tc, td = tables
-    q_a, q_b, q_c, q_d = quotas
 
-    e1 = qa & qnd  # shared by quarters A and C
-    e2 = qa & qd   # A and D
-    e3 = qna & qnd  # B and C
-    e4 = qna & qd  # B and D
-    sizes = {"e1": e1.bit_count(), "e2": e2.bit_count(), "e3": e3.bit_count(), "e4": e4.bit_count()}
-    smallest = min(sizes, key=lambda k: (sizes[k], k))
-    guess_ac_bd = smallest in ("e1", "e4")
-
-    best: tuple[int, tuple[int, int, int, int]] | None = None
-
-    if guess_ac_bd:
-        # guess Y_A & e1 and Y_B & e4, optimize the A/D and B/C couplings
-        for a1 in _all_subsets(e1):
-            na = a1.bit_count()
-            d2_size = q_a - na
-            if d2_size < 0 or d2_size > sizes["e2"]:
+    # Every free job sits in one pool, keyed by the AB quarter and the CD
+    # quarter that may take it. Guess the splits of the two opposite pools
+    # of the cycle A-C-B-D-A that hold the smallest one; then A and B each
+    # share one remaining pool with one CD quarter, independently.
+    pool = {(0, 2): qa & qnd, (0, 3): qa & qd, (1, 2): qna & qnd, (1, 3): qna & qd}
+    size = {k: m.bit_count() for k, m in pool.items()}
+    smallest = min(pool, key=lambda k: (size[k], k))
+    c = 2 if smallest in ((0, 2), (1, 3)) else 3  # the CD quarter of A's guessed pool
+    d = 5 - c
+    best: tuple[int, list[int]] | None = None
+    for ga in _all_subsets(pool[0, c]):
+        ra = quotas[0] - ga.bit_count()  # A's share of pool[0, d]
+        gb_size = size[0, d] - ra + size[1, d] - quotas[d]  # B's share of pool[1, d]
+        rb = quotas[1] - gb_size  # B's share of pool[1, c]
+        if not (0 <= ra <= size[0, d] and 0 <= gb_size <= size[1, d] and 0 <= rb <= size[1, c]):
+            continue
+        if size[0, c] - ga.bit_count() + size[1, c] - rb != quotas[c]:
+            continue
+        for gb in subsets_of_size(pool[1, d], gb_size):
+            pair_a = _best_split(tables[0], tables[d], ga, pool[1, d] ^ gb, pool[0, d], ra)
+            if pair_a is None:
                 continue
-            b4_size = sizes["e4"] - q_d + sizes["e2"] - d2_size
-            if b4_size < 0 or b4_size > sizes["e4"]:
+            pair_b = _best_split(tables[1], tables[c], gb, pool[0, c] ^ ga, pool[1, c], rb)
+            if pair_b is None:
                 continue
-            b3_size = q_b - b4_size
-            if b3_size < 0 or b3_size > sizes["e3"]:
-                continue
-            if (e1.bit_count() - na) + (sizes["e3"] - b3_size) != q_c:
-                continue
-            for b4 in _subsets_of_size(e4, b4_size):
-                best_ad = None
-                for d2 in _subsets_of_size(e2, d2_size):
-                    y_a = a1 | d2
-                    y_d = (e2 ^ d2) | (e4 ^ b4)
-                    c = ta.get(y_a)
-                    cd = td.get(y_d)
-                    if c is None or cd is None:
-                        continue
-                    tot = c + cd
-                    if best_ad is None or tot < best_ad[0]:
-                        best_ad = (tot, y_a, y_d)
-                if best_ad is None:
-                    continue
-                best_bc = None
-                for b3 in _subsets_of_size(e3, b3_size):
-                    y_b = b3 | b4
-                    y_c = (e1 ^ a1) | (e3 ^ b3)
-                    cb = tb.get(y_b)
-                    cc = tc.get(y_c)
-                    if cb is None or cc is None:
-                        continue
-                    tot = cb + cc
-                    if best_bc is None or tot < best_bc[0]:
-                        best_bc = (tot, y_b, y_c)
-                if best_bc is None:
-                    continue
-                total = best_ad[0] + best_bc[0]
-                if best is None or total < best[0]:
-                    best = (total, (best_ad[1], best_bc[1], best_bc[2], best_ad[2]))
-    else:
-        # guess Y_A & e2 and Y_B & e3, optimize the A/C and B/D couplings
-        for d2 in _all_subsets(e2):
-            nd = d2.bit_count()
-            a1_size = q_a - nd
-            if a1_size < 0 or a1_size > sizes["e1"]:
-                continue
-            for b3 in _all_subsets(e3):
-                nb = b3.bit_count()
-                b4_size = q_b - nb
-                if b4_size < 0 or b4_size > sizes["e4"]:
-                    continue
-                if (sizes["e1"] - a1_size) + (sizes["e3"] - nb) != q_c:
-                    continue
-                best_ac = None
-                for a1 in _subsets_of_size(e1, a1_size):
-                    y_a = a1 | d2
-                    y_c = (e1 ^ a1) | (e3 ^ b3)
-                    c = ta.get(y_a)
-                    cc = tc.get(y_c)
-                    if c is None or cc is None:
-                        continue
-                    tot = c + cc
-                    if best_ac is None or tot < best_ac[0]:
-                        best_ac = (tot, y_a, y_c)
-                if best_ac is None:
-                    continue
-                best_bd = None
-                for b4 in _subsets_of_size(e4, b4_size):
-                    y_b = b3 | b4
-                    y_d = (e2 ^ d2) | (e4 ^ b4)
-                    cb = tb.get(y_b)
-                    cd = td.get(y_d)
-                    if cb is None or cd is None:
-                        continue
-                    tot = cb + cd
-                    if best_bd is None or tot < best_bd[0]:
-                        best_bd = (tot, y_b, y_d)
-                if best_bd is None:
-                    continue
-                total = best_ac[0] + best_bd[0]
-                if best is None or total < best[0]:
-                    best = (total, (best_ac[1], best_bd[1], best_ac[2], best_bd[2]))
+            total = pair_a[0] + pair_b[0]
+            if best is None or total < best[0]:
+                ys = [0, 0, 0, 0]
+                ys[0], ys[d] = pair_a[1:]
+                ys[1], ys[c] = pair_b[1:]
+                best = (total, ys)
 
     if best is None:
         raise Infeasible("no quarter contents satisfy the guessed counts")
     total, ys = best
     seq: list[int] = []
     for g in range(4):
-        seq.extend(rebuilds[g](ys[g]))
+        seq.extend(memos[g].sequence(ys[g] | w_masks[g]))
     ordering = Ordering.from_sequence(seq)
     if not validate_ordering(inst, ordering):
         raise InternalInconsistency("assembled quarter schedules violate precedence")
@@ -728,6 +583,22 @@ def solve_independent_case(inst: Instance, ctx: BranchContext, memos=None):
             f"assembled cost {recomputed} disagrees with table total {total}"
         )
     return ordering, total, stats
+
+
+def _best_split(t_ab, t_cd, fixed_ab: int, fixed_cd: int, shared: int, k: int):
+    """Cheapest split of a shared pool between an AB and a CD quarter: k of
+    its jobs join fixed_ab, the rest fixed_cd. Returns (cost, Y_ab, Y_cd)."""
+    best = None
+    for part in subsets_of_size(shared, k):
+        y_ab = fixed_ab | part
+        y_cd = fixed_cd | (shared ^ part)
+        c_ab = t_ab.get(y_ab)
+        c_cd = t_cd.get(y_cd)
+        if c_ab is None or c_cd is None:
+            continue
+        if best is None or c_ab + c_cd < best[0]:
+            best = (c_ab + c_cd, y_ab, y_cd)
+    return best
 
 
 def _all_subsets(mask: int) -> Iterator[int]:
@@ -1011,7 +882,7 @@ def _ladder(
                     counts = (p_a, p_b, p_c, p_d)
                     flex0 = _flex_groups_for_branch(ctx)
                     ran_any = False
-                    for wq_b in _subsets_of_size(p_sets[0], need_b):
+                    for wq_b in subsets_of_size(p_sets[0], need_b):
                         ran_any = True
                         partial = [
                             (w_masks[0], (0,)),
@@ -1022,7 +893,7 @@ def _ladder(
                         if _relaxed_bound(vinst, n, partial) > search.bound():
                             search.prune()
                             continue
-                        for wq_c in _subsets_of_size(p_sets[3] & ~wq_b, need_c):
+                        for wq_c in subsets_of_size(p_sets[3] & ~wq_b, need_c):
                             ictx = replace(ctx, p_counts=counts, wq_b=wq_b, wq_c=wq_c)
                             lb = _relaxed_bound(
                                 vinst,
@@ -1072,8 +943,7 @@ def _solve_variant(
         b = m & -m
         m ^= b
         members.append(b.bit_length() - 1)
-    bounds = quarter_bounds(n)
-    memos = tuple(_QuarterMemo(vinst, bounds[g][0] + 1) for g in range(4))
+    memos = _quarter_memos(vinst)
 
     groups: dict[tuple[int, int], list[QuarterAssignment]] = {}
     for qa in enumerate_quarter_assignments(vinst, members, vb, ve):
@@ -1177,8 +1047,9 @@ def solve(
     """
     t0 = time.perf_counter()
     if config is None:
-        config = EpsilonConfig.default()
-    report = SolveReport(warnings=config.dispatch_warnings())
+        config = _DEFAULT_CONFIG
+    warnings = _DEFAULT_WARNINGS if config is _DEFAULT_CONFIG else config.dispatch_warnings()
+    report = SolveReport(warnings=warnings)
     n = inst.n
     if n == 0:
         report.chosen_path = "dcdp"

@@ -39,6 +39,13 @@ class TestSolve:
         assert code == 2
         assert "cycle" in err
 
+    def test_seed_is_not_a_solve_flag(self, tmp_path, capsys):
+        # solve is deterministic; only gen takes a seed
+        path = write_instance(tmp_path, "c.json", 3, [4, 3, 2], [[0, 1], [1, 2]])
+        code, _, err = run_cli(["solve", "--input", str(path), "--seed", "1"], capsys)
+        assert code == 1
+        assert "--seed" in err
+
     def test_malformed_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{")

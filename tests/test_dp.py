@@ -1,11 +1,12 @@
 import gc
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
 import schedexact as sx
 from schedexact import Infeasible, Ordering
-from schedexact.dp import labeled_trace, prefix_trace
+from schedexact.dp import SubsetDP, labeled_trace, prefix_trace
 
 from conftest import all_subset_ideals, mask, random_instance
 
@@ -117,6 +118,47 @@ class TestSolveFiltered:
         o, c, stats = sx.solve_filtered(chain, lambda x: sx.is_downward_closed(chain, x))
         assert o.sequence == tuple(range(40))
         assert stats.states_expanded == 41
+
+
+def _extensions(inst, z):
+    """Orders of the jobs of z that respect every precedence among them."""
+    jobs = [v for v in range(inst.n) if z >> v & 1]
+    for perm in permutations(jobs):
+        pos = {v: i for i, v in enumerate(perm)}
+        if all(not inst.pred_masks[v] >> u & 1 for u in jobs for v in jobs if pos[u] > pos[v]):
+            yield perm
+
+
+class TestSubsetDP:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_offset_cost_is_the_coefficient_form(self, reverse):
+        # a subset z placed from absolute position offset + 1 (or, in
+        # reverse, ending at n - offset): the i-th job of z costs
+        # (n - offset - i + 1) * t, resp. (offset + |z| - i + 1) * t
+        inst = random_instance(7, 8, 0.3)
+        n, z, offset = inst.n, mask(0, 2, 3, 5, 6), 2
+        size = z.bit_count()
+        first = offset + 1 if not reverse else n - offset - size + 1
+        brute = min(
+            sum((n - (first + i) + 1) * inst.times[v] for i, v in enumerate(perm))
+            for perm in _extensions(inst, z)
+        )
+        dp = SubsetDP(inst, offset=offset, reverse=reverse)
+        assert dp.visit(z) == brute
+        seq = dp.sequence(z)
+        assert tuple(seq) in set(_extensions(inst, z))
+        assert sum((n - (first + i) + 1) * inst.times[v] for i, v in enumerate(seq)) == brute
+
+    def test_unfiltered_tables_count_the_empty_state_from_the_start(self):
+        inst = random_instance(3, 6, 0.3)
+        dp = SubsetDP(inst)
+        assert dp.stats() == sx.DpStats(1, 0, 1)
+        dp.visit(mask(0, 1))
+        after_first = dp.stats()
+        # a second top state reuses the tables and only adds its new states
+        dp.visit(mask(0, 1, 2))
+        assert dp.stats().states_expanded > after_first.states_expanded
+        assert SubsetDP(inst, lambda x, lab: True).stats() == sx.DpStats(0, 0, 0)
 
 
 class TestStats:

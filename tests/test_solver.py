@@ -30,6 +30,15 @@ class TestEpsilonConfig:
         with pytest.raises(ValueError):
             EpsilonConfig.make(0, 0.1, 0.2, 0.3)
 
+    def test_default_is_built_once(self):
+        assert EpsilonConfig.default() is EpsilonConfig.default()
+        _, _, rep = sx.solve(sx.build_instance([2, 1], [(0, 1)]))
+        assert rep.warnings == ()
+
+    @pytest.mark.parametrize("raw", [0.3, "0.3", "3/10", Fraction(3, 10)])
+    def test_values_parse_exactly(self, raw):
+        assert EpsilonConfig.make(raw, raw, raw, raw).eps1 == Fraction(3, 10)
+
     def test_forced_config_warns_but_loads(self):
         cfg = EpsilonConfig.make(0.2, 0.22, 0.24, 0.26)
         assert cfg.eps1 == Fraction(1, 5)
@@ -281,7 +290,8 @@ class TestIndependentCase:
 
     def test_quarter_restriction_consistency(self):
         # the optimum restricted to a quarter is optimal for that quarter's content
-        from schedexact.solver import _quarter_table, quarter_bounds
+        from schedexact.dp import SubsetDP, subsets_of_size
+        from schedexact.solver import quarter_bounds
 
         inst = sx.build_instance([3, 1, 4, 1, 5, 9, 2, 6], [(0, 5)])
         vinst, ctx, vo, vc = _consistent_setup(inst)
@@ -299,8 +309,8 @@ class TestIndependentCase:
             y = content & ~w_masks[g]
             quota = n // 4 - w_masks[g].bit_count()
             assert y.bit_count() == quota
-            table, rebuild, _ = _quarter_table(vinst, w_masks[g], grounds[g], quota, lo + 1)
-            got = table[y]
+            assert y in set(subsets_of_size(grounds[g], quota))
+            got = SubsetDP(vinst, offset=lo).visit(y | w_masks[g])
             expected = sum((n - pos[v] + 1) * vinst.times[v] for v in _bits(content))
             assert got == expected
 
@@ -312,6 +322,58 @@ class TestIndependentCase:
         starved = replace(ctx, wq_b=0, wq_c=0, p_sets=(0, 0, 0, 0))
         with pytest.raises(Infeasible):
             sx.solve_independent_case(vinst, starved)
+
+
+class TestPinnedCounts:
+    """Exact DpStats of each strategy on the branch matching the optimum."""
+
+    INSTANCES = {
+        "one-pair": ([3, 1, 4, 1, 5, 9, 2, 6], [(0, 5)]),
+        "two-before-hub": ([5, 1, 1, 9, 8, 7, 6, 4], [(1, 0), (2, 0)]),
+    }
+    # (cost, {strategy: (states_expanded, states_rejected, peak_table_size)})
+    PINNED = {
+        "one-pair": (327770572514, {
+            "independent": (13, 0, 17),
+            "A": (42, 45, 87), "B": (49, 17, 66), "C": (49, 11, 60), "D": (42, 55, 97),
+            "AB": (50, 16, 66), "CD": (50, 16, 66),
+        }),
+        "two-before-hub": (467260124954, {
+            "independent": (10, 0, 14),
+            "A": (10, 9, 20), "B": (24, 15, 39), "C": (24, 10, 34), "D": (34, 40, 74),
+            "AB": (28, 11, 39), "CD": (28, 11, 39),
+        }),
+    }
+
+    @staticmethod
+    def _stats(result):
+        s = result[2]
+        return result[1], (s.states_expanded, s.states_rejected, s.peak_table_size)
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_strategy_stats(self, name):
+        vinst, ctx, vo, vc = _consistent_setup(sx.build_instance(*self.INSTANCES[name]))
+        cost, pinned = self.PINNED[name]
+        assert vc == cost
+        got = {"independent": self._stats(sx.solve_independent_case(vinst, ctx))}
+        for case in QUARTER_NAMES:
+            got[case] = self._stats(sx.solve_quarter_case(vinst, ctx, case))
+        for side in ("AB", "CD"):
+            got[side] = self._stats(sx.solve_half_case(vinst, ctx, side))
+        assert got == {k: (cost, v) for k, v in pinned.items()}
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_shared_memos_report_only_new_states(self, name):
+        # the four per-quarter memos count the empty state from construction;
+        # a second identical call adds no state but reports the full tables
+        vinst, ctx, _, _ = _consistent_setup(sx.build_instance(*self.INSTANCES[name]))
+        expanded, _, peak = self.PINNED[name][1]["independent"]
+        memos = sx.solver._quarter_memos(vinst)
+        assert sum(len(m.cost) for m in memos) == 4
+        first = sx.solve_independent_case(vinst, ctx, memos)[2]
+        second = sx.solve_independent_case(vinst, ctx, memos)[2]
+        assert (first.states_expanded, first.peak_table_size) == (expanded, peak)
+        assert (second.states_expanded, second.peak_table_size) == (0, peak)
 
 
 class TestSolve:
