@@ -1,16 +1,19 @@
 """Command-line surface: solve, verify, gen, count, bench.
 
-Exit codes: 0 success, 1 malformed input or flags, 2 infeasible or
-cyclic instance, 3 invalid ordering (verify), 4 violated counting bound
-(count), 5 cost mismatch between algorithms (bench).
+Exit codes: 0 success, 1 malformed input or flags, or an instance above
+the brute-force cap (solve, bench), 2 infeasible or cyclic instance,
+3 invalid ordering (verify), 4 violated counting bound (count), 5 cost
+mismatch between algorithms (bench).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 # is_downward_closed is unused here but stays importable: perfbench/spans.py
@@ -28,7 +31,7 @@ from .instance import (
     ordering_cost,
     validate_ordering,
 )
-from .oracle import brute_force_optimal
+from .oracle import InstanceTooLarge, brute_force_optimal
 from .solver import EpsilonConfig, SolveReport, solve
 from .structure import (
     comparability_graph,
@@ -177,7 +180,9 @@ def cmd_count(args) -> int:
     return 4 if count > bound else 0
 
 
-def _bench_one(path: Path, algo: str, config, cap: int, wq_cap: int, timing: bool):
+def _bench_one(task: tuple[Path, str], *, config, cap: int, wq_cap: int, timing: bool):
+    """One CSV row; module level, so a worker process can unpickle it."""
+    path, algo = task
     inst = _load(str(path))
     matching = greedy_maximal_matching(comparability_graph(inst))
     t0 = time.perf_counter()
@@ -202,16 +207,25 @@ def cmd_bench(args) -> int:
             return 1
     config = _config_from_args(args)
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
-    jobs = [(p, a) for p in files for a in algos]
-    timing = not args.no_timing
+    # Algo-major, so the few long brute tasks (brute is listed first in the
+    # usual --algos) start before the many short ones.
+    tasks = [(p, a) for a in algos for p in files]
+    run = partial(_bench_one, config=config, cap=args.cap, wq_cap=args.wq_cap, timing=not args.no_timing)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(lambda pa: _bench_one(pa[0], pa[1], config, args.cap, args.wq_cap, timing), jobs)
-            )
+    # The default start method on Linux, fork, starts every worker at once,
+    # so their number is bounded here. (Spawn would re-import the package in
+    # each worker, which costs more than a typical bench run.)
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            # A worker's exception, SystemExit from _load included, is
+            # re-raised here when its result is read.
+            results = list(pool.map(run, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        results = [_bench_one(p, a, config, args.cap, args.wq_cap, timing) for p, a in jobs]
+        results = list(map(run, tasks))
 
     results.sort(key=lambda r: (r[0], r[1]))
     lines = [BENCH_HEADER] + [r[3] for r in results]
@@ -273,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--algos", required=True, help="comma list from brute,dp,dcdp,full")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes; at most the number of tasks and of CPUs (1: run in this process)",
+    )
     p.add_argument("--no-timing", action="store_true", help="report wall_ms as 0 for reproducible output")
     _add_eps_flags(p)
     p.set_defaults(fn=cmd_bench)
@@ -292,6 +309,9 @@ def main(argv=None) -> int:
     except CyclicPrecedence as exc:
         print(f"infeasible instance: {exc}", file=sys.stderr)
         return 2
+    except InstanceTooLarge as exc:
+        print(f"instance too large for brute: {exc}", file=sys.stderr)
+        return 1
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from schedexact import cli
 from schedexact.cli import main
+
+from test_golden import write_instances
 
 
 def run_cli(args, capsys):
@@ -55,6 +58,13 @@ class TestSolve:
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(["solve", "--input", "/nonexistent.json"], capsys)
         assert code == 1
+
+    def test_brute_over_cap_exit_1(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "big.json", 13, [1] * 13, [])
+        code, out, err = run_cli(["solve", "--input", str(path), "--algo", "brute"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "instance too large for brute: n=13 exceeds enumeration cap 12\n"
 
     def test_stats_written(self, tmp_path, capsys):
         path = write_instance(tmp_path, "c.json", 4, [1, 2, 3, 4], [])
@@ -234,6 +244,95 @@ class TestBench:
         run_cli(["bench", "--dir", str(d), "--algos", "brute,dp,dcdp,full", "--out", str(par),
                  "--no-timing", "--jobs", "4"], capsys)
         assert seq.read_bytes() == par.read_bytes()
+
+
+class TestBenchWorkers:
+    """bench --jobs N runs its tasks in worker processes."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # so that --jobs 2 takes the pool path on any machine
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingExecutor:
+            # records the pool's size and runs the tasks here, forking nothing
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        return sizes
+
+    def _populate(self, tmp_path, count):
+        d = tmp_path / "inst"
+        d.mkdir()
+        for i in range(count):
+            write_instance(d, f"{i}.json", 3, [4, 3, i], [[0, 1]])
+        return d
+
+    def test_golden_directory_same_bytes(self, tmp_path, capsys, two_cpus):
+        d = tmp_path / "golden"
+        d.mkdir()
+        write_instances(d)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "brute,dp,dcdp,full",
+                                  "--no-timing", "--jobs", jobs, "--out", str(out)], capsys)
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 27 * 4
+
+    def test_cyclic_exit_2(self, tmp_path, capsys, two_cpus):
+        d = self._populate(tmp_path, 2)
+        write_instance(d, "cyc.json", 2, [1, 1], [[0, 1], [1, 0]])
+        code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", "2"], capsys)
+        assert code == 2
+
+    def test_malformed_exit_1(self, tmp_path, capsys, two_cpus):
+        d = self._populate(tmp_path, 2)
+        (d / "bad.json").write_text("{")
+        code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", "2"], capsys)
+        assert code == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_brute_over_cap_exit_1(self, tmp_path, capsys, two_cpus, jobs):
+        d = self._populate(tmp_path, 2)
+        write_instance(d, "big.json", 13, [1] * 13, [])
+        code, out, err = run_cli(["bench", "--dir", str(d), "--algos", "brute,dp", "--jobs", jobs], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "instance too large for brute: n=13 exceeds enumeration cap 12\n"
+
+    @pytest.mark.parametrize("jobs,cpus,expected", [
+        (64, 8, 6),  # no more workers than tasks
+        (64, 4, 4),  # nor than CPUs
+        (3, 8, 3),
+    ])
+    def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, pool_sizes, jobs, cpus, expected):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        d = self._populate(tmp_path, 3)
+        code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", str(jobs)], capsys)
+        assert code == 0
+        assert pool_sizes == [expected]
+
+    @pytest.mark.parametrize("jobs,cpus", [(1, 8), (8, None), (8, 1)])
+    def test_single_worker_runs_in_process(self, tmp_path, capsys, monkeypatch, pool_sizes, jobs, cpus):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        d = self._populate(tmp_path, 3)
+        code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", str(jobs)], capsys)
+        assert code == 0
+        assert pool_sizes == []
 
 
 class TestEntryPoint:

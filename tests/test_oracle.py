@@ -2,6 +2,7 @@ import pytest
 
 import schedexact as sx
 from schedexact import InstanceTooLarge, Ordering
+from schedexact.gen import MODELS, generate, to_instance
 
 from conftest import count_extensions_by_ideal_recursion, random_instance
 
@@ -93,3 +94,25 @@ def test_empty_instance():
     inst = sx.build_instance([], [])
     o, c = sx.brute_force_optimal(inst)
     assert o == Ordering(()) and c == 0
+
+
+def first_minimum(inst):
+    """The first cheapest ordering in `linear_extensions` order."""
+    best = None
+    for o in sx.linear_extensions(inst):
+        c = sx.ordering_cost(inst, o)
+        if best is None or c < best[1]:
+            best = (o, c)
+    return best
+
+
+# tmax 0 makes every ordering cost 0 and tmax 1 ties most of them, so the
+# tie-break is checked as well as the cost; density 0 gives antichains and
+# chain-mix at density 1 a single chain.
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("tmax", [0, 1, 20])
+def test_brute_is_first_minimum_over_extensions(model, n, density, tmax):
+    inst = to_instance(generate(model, n, density, tmax, seed=100 * n + tmax))
+    assert sx.brute_force_optimal(inst) == first_minimum(inst)
