@@ -88,14 +88,11 @@ def _run_algo(inst: Instance, algo: str, config: EpsilonConfig | None, cap: int,
     if algo == "brute":
         ordering, cost = brute_force_optimal(inst, cap=cap)
         return ordering, cost, 0, "brute", DpStats()
-    if algo == "dp":
-        ordering, cost, stats = solve_filtered(inst)
-        return ordering, cost, stats.states_expanded, "dp", stats
-    if algo == "dcdp":
+    if algo in ("dp", "dcdp"):
         # The forward DP only visits downward-closed sets, so dcdp is plain dp
         # under its own name.
         ordering, cost, stats = solve_filtered(inst)
-        return ordering, cost, stats.states_expanded, "dcdp", stats
+        return ordering, cost, stats.states_expanded, algo, stats
     ordering, cost, report = solve(inst, config, wq_cap=wq_cap)
     return ordering, cost, report.stats_total.states_expanded, report.chosen_path, report
 
@@ -200,6 +197,9 @@ def cmd_bench(args) -> int:
     if not directory.is_dir():
         print(f"not a directory: {args.dir}", file=sys.stderr)
         return 1
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGOS:
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes; at most the number of tasks and of CPUs (1: run in this process)",
+        help="worker processes, at least 1, capped by the tasks and the CPUs (1: run in this process)",
     )
     p.add_argument("--no-timing", action="store_true", help="report wall_ms as 0 for reproducible output")
     _add_eps_flags(p)

@@ -238,19 +238,14 @@ class SubsetDP:
 
 
 def solve_filtered(
-    inst: Instance,
-    accept: Optional[Callable[[int], bool]] = None,
-    *,
-    reverse: bool = False,
+    inst: Instance, accept: Optional[Callable[[int], bool]] = None
 ) -> tuple[Ordering, int, DpStats]:
     """Optimal ordering among those whose every prefix state is accepted.
 
     With accept=None this is the plain exhaustive subset DP. Raises
     Infeasible when the full set admits no surviving schedule.
     """
-    dp = SubsetDP(
-        inst, None if accept is None else lambda x, _lab: accept(x), reverse=reverse
-    )
+    dp = SubsetDP(inst, None if accept is None else lambda x, _lab: accept(x))
     total = dp.visit(inst.full_mask)
     if total is None:
         raise Infeasible("no ordering survives the acceptance predicate")

@@ -99,30 +99,28 @@ class Ordering:
 
 
 def _find_cycle(n: int, succs: list[set[int]]) -> list[int]:
-    # Standard colored DFS; only called once cycle existence is known.
+    # Colored DFS, successors in increasing order; only called once cycle
+    # existence is known. The explicit stack keeps a long cycle from
+    # exhausting the interpreter's recursion limit.
     color = [0] * n
-    stack: list[int] = []
-
-    def dfs(u: int) -> list[int] | None:
-        color[u] = 1
-        stack.append(u)
-        for w in sorted(succs[u]):
-            if color[w] == 1:
-                i = stack.index(w)
-                return stack[i:] + [w]
-            if color[w] == 0:
-                found = dfs(w)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[u] = 2
-        return None
-
     for s in range(n):
-        if color[s] == 0:
-            found = dfs(s)
-            if found is not None:
-                return found
+        if color[s]:
+            continue
+        color[s] = 1
+        path = [s]
+        todo = [iter(sorted(succs[s]))]
+        while todo:
+            for w in todo[-1]:
+                if color[w] == 1:
+                    return path[path.index(w):] + [w]
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    todo.append(iter(sorted(succs[w])))
+                    break
+            else:
+                color[path.pop()] = 2
+                todo.pop()
     raise AssertionError("no cycle found")
 
 

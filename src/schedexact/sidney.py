@@ -20,9 +20,11 @@ not yet placed, found exactly on integers (Margot, Queyranne and Wang
   Picard's network (Picard 1976, Manage. Sci. 22(11));
 * in the residual graph of the last maximum flow, the smallest maximum
   closure that contains a job v is everything reachable from v and the
-  source. Every nonempty ideal contains a minimal job, so the smallest
-  such set over the minimal jobs whose reach avoids the sink is an
-  inclusion-minimal ratio-maximal ideal.
+  source. At the last cut the value is 0, so every source arc is
+  saturated and the source side is empty: the candidate for v is what v
+  alone reaches. Every nonempty ideal contains a minimal job, so the
+  smallest such set over the minimal jobs whose reach avoids the sink is
+  an inclusion-minimal ratio-maximal ideal.
 """
 
 from __future__ import annotations
@@ -151,10 +153,7 @@ def _ratio_block(inst: Instance, rest: int, pred: list[int], minimal: list[int])
         best = cut.reach(cut.open_source)
         members = _bits(best)
         a, b = len(members), sum(times[v] for v in members)
-    # Every maximum closure contains the one reachable from the source.
-    floor = cut.reach(cut.open_source)
-    if floor:
-        return floor
+    # The source side is empty now (see the module docstring).
     block = 0
     for v in minimal:
         if cut.open_sink >> v & 1:  # v itself still reaches the sink

@@ -164,14 +164,12 @@ class BranchContext:
     v_begin: int
     v_end: int
     m_set: int
-    i1: int
     m_ab: int
     m_cd: int
     whalf_ab: int
     whalf_cd: int
     m_q: Optional[tuple[int, int, int, int]] = None
     w_half_q: Optional[tuple[int, int, int, int]] = None
-    i2: Optional[int] = None
     p_sets: Optional[tuple[int, int, int, int]] = None
     p_counts: Optional[tuple[Optional[int], ...]] = None
     wq_b: int = 0
@@ -405,6 +403,12 @@ def quarter_case_filter(inst: Instance, ctx: BranchContext, case: str):
     past the freeze size it is pinned and the scheduled eligible jobs
     outside it must pass the exchange-pruning test against the rest of
     the eligible pool.
+
+    accept never counts the label: solve_filtered_labeled starts every
+    visit with a label of exactly label_target = p_val jobs, which stays
+    pinned above the freeze size, and at or below it the engine only
+    expands keys whose label is state & domain, a subset of the pinned
+    label.
     """
     n = ctx.n
     full = inst.full_mask
@@ -429,9 +433,7 @@ def quarter_case_filter(inst: Instance, ctx: BranchContext, case: str):
         if not _conformance(xs, xm, w_masks, bounds):
             return False
         if s <= freeze:
-            return lab.bit_count() <= p_val
-        if lab.bit_count() != p_val:
-            return False
+            return True
         k = domain & ~lab
         cand = xm & k
         key = (k, cand)
@@ -552,15 +554,11 @@ def solve_independent_case(inst: Instance, ctx: BranchContext, memos=None):
         rb = quotas[1] - gb_size  # B's share of pool[1, c]
         if not (0 <= ra <= size[0, d] and 0 <= gb_size <= size[1, d] and 0 <= rb <= size[1, c]):
             continue
-        if size[0, c] - ga.bit_count() + size[1, c] - rb != quotas[c]:
-            continue
+        # Quarter c then gets exactly quotas[c] jobs: the four pools
+        # partition the free jobs, so their sizes sum to the four quotas.
         for gb in subsets_of_size(pool[1, d], gb_size):
             pair_a = _best_split(tables[0], tables[d], ga, pool[1, d] ^ gb, pool[0, d], ra)
-            if pair_a is None:
-                continue
             pair_b = _best_split(tables[1], tables[c], gb, pool[0, c] ^ ga, pool[1, c], rb)
-            if pair_b is None:
-                continue
             total = pair_a[0] + pair_b[0]
             if best is None or total < best[0]:
                 ys = [0, 0, 0, 0]
@@ -587,17 +585,19 @@ def solve_independent_case(inst: Instance, ctx: BranchContext, memos=None):
 
 def _best_split(t_ab, t_cd, fixed_ab: int, fixed_cd: int, shared: int, k: int):
     """Cheapest split of a shared pool between an AB and a CD quarter: k of
-    its jobs join fixed_ab, the rest fixed_cd. Returns (cost, Y_ab, Y_cd)."""
+    its jobs join fixed_ab, the rest fixed_cd. Returns (cost, Y_ab, Y_cd).
+
+    The caller keeps 0 <= k <= |shared| and makes both sides quota-sized
+    subsets of their quarters' grounds, so every lookup hits a tabled,
+    finite cost: an unfiltered DP reaches the empty state from any set.
+    """
     best = None
     for part in subsets_of_size(shared, k):
         y_ab = fixed_ab | part
         y_cd = fixed_cd | (shared ^ part)
-        c_ab = t_ab.get(y_ab)
-        c_cd = t_cd.get(y_cd)
-        if c_ab is None or c_cd is None:
-            continue
-        if best is None or c_ab + c_cd < best[0]:
-            best = (c_ab + c_cd, y_ab, y_cd)
+        c = t_ab[y_ab] + t_cd[y_cd]
+        if best is None or c < best[0]:
+            best = (c, y_ab, y_cd)
     return best
 
 
@@ -617,7 +617,12 @@ def _all_subsets(mask: int) -> Iterator[int]:
 def _w_refinements(
     inst: Instance, w_ab: int, w_cd: int, m_quarter_of: dict[int, int]
 ) -> Iterator[tuple[int, int, int, int]]:
-    """All consistent quarter labelings of the forced-half jobs."""
+    """All consistent quarter labelings of the forced-half jobs.
+
+    Every job gets at least one quarter: a matched predecessor never sits
+    in a later quarter than a matched successor, since the quarter
+    assignment is order-consistent.
+    """
     choices: list[tuple[int, tuple[int, ...]]] = []
     for mask, opts in ((w_ab, (0, 1)), (w_cd, (2, 3))):
         m = mask
@@ -640,10 +645,7 @@ def _w_refinements(
                 q = m_quarter_of.get(sb.bit_length() - 1)
                 if q is not None and q < hi:
                     hi = q
-            allowed = tuple(q for q in opts if lo <= q <= hi)
-            if not allowed:
-                return
-            choices.append((v, allowed))
+            choices.append((v, tuple(q for q in opts if lo <= q <= hi)))
     for assign in product(*(a for _, a in choices)):
         out = [0, 0, 0, 0]
         for (v, _), q in zip(choices, assign):
@@ -705,14 +707,12 @@ def consistent_context(
         v_begin=v_begin,
         v_end=v_end,
         m_set=m_set,
-        i1=i1,
         m_ab=m_ab,
         m_cd=m_cd,
         whalf_ab=w_ab,
         whalf_cd=w_cd,
         m_q=tuple(masks),
         w_half_q=tuple(w_half_masks),
-        i2=i2,
         p_sets=p_sets,
         p_counts=(p_a, p_b, p_c, p_d),
         wq_b=wq_b,
@@ -950,11 +950,9 @@ def _solve_variant(
         groups.setdefault(qa.half_masks(), []).append(qa)
 
     for (m_ab, m_cd), assignments in sorted(groups.items()):
-        try:
-            w_ab, w_cd = compute_w_half(vinst, i1, m_ab, m_cd)
-        except ContradictoryBranch:
-            search.prune()
-            continue
+        # Cannot raise: the assignments are order-consistent, so no free job
+        # follows a C/D member and precedes an A/B member.
+        w_ab, w_cd = compute_w_half(vinst, i1, m_ab, m_cd)
         free = i1 ^ (w_ab | w_cd)
         lb_half = _relaxed_bound(
             vinst, n,
@@ -964,7 +962,7 @@ def _solve_variant(
             search.prune()
             continue
         ctx_half = BranchContext(
-            n=n, v_begin=vb, v_end=ve, m_set=m_set, i1=i1,
+            n=n, v_begin=vb, v_end=ve, m_set=m_set,
             m_ab=m_ab, m_cd=m_cd, whalf_ab=w_ab, whalf_cd=w_cd,
         )
         ab_big = Fraction(w_ab.bit_count()) >= config.eps2 * n
@@ -991,7 +989,6 @@ def _solve_variant(
                     ctx_half,
                     m_q=m_q,
                     w_half_q=w_half_q,
-                    i2=i2,
                     p_sets=p_sets,
                     p_counts=(p_a, None, None, p_d),
                 )

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import permutations
+from pathlib import Path
 
+import schedexact
 from schedexact import Instance, Ordering, build_instance
+
+# Tests that start `python -m schedexact.cli` in a child process need the
+# child to import this same package, also when only pytest's own pythonpath
+# setting put it on sys.path.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(schedexact.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def all_subset_ideals(inst: Instance) -> list[int]:

@@ -42,6 +42,14 @@ class TestSolve:
         assert code == 2
         assert "cycle" in err
 
+    def test_long_cycle_exit_2(self, tmp_path, capsys):
+        n = 3000
+        path = write_instance(tmp_path, "ring.json", n, [1] * n, [[i, (i + 1) % n] for i in range(n)])
+        code, out, err = run_cli(["solve", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("infeasible instance: precedence cycle: 0 -> 1 -> 2 -> ")
+
     def test_seed_is_not_a_solve_flag(self, tmp_path, capsys):
         # solve is deterministic; only gen takes a seed
         path = write_instance(tmp_path, "c.json", 3, [4, 3, 2], [[0, 1], [1, 2]])
@@ -77,6 +85,23 @@ class TestSolve:
         assert lines[0].startswith("algo,chosen_path")
         assert lines[1].startswith("full,")
 
+    @pytest.mark.parametrize("algo,row", [
+        ("dp", "dp,12,0,12"),  # 12 ideals: the 16 sets minus the 4 holding 2 without 0
+        ("dcdp", "dcdp,12,0,12"),
+        ("brute", "brute,0,0,0"),
+    ])
+    def test_dp_stats_bytes(self, tmp_path, capsys, algo, row):
+        path = write_instance(tmp_path, "d.json", 4, [4, 1, 3, 2], [[0, 2]])
+        stats = tmp_path / "stats.csv"
+        code, out, _ = run_cli(
+            ["solve", "--input", str(path), "--algo", algo, "--stats", str(stats)], capsys
+        )
+        assert code == 0
+        assert out == "cost=21 order=2,0,3,1\n"
+        assert stats.read_bytes() == (
+            "algo,states_expanded,states_rejected,peak_table_size\n" + row + "\n"
+        ).encode()
+
     def test_eps_flags(self, tmp_path, capsys):
         path = write_instance(tmp_path, "c.json", 4, [1, 2, 3, 4], [])
         code, out, _ = run_cli(
@@ -110,6 +135,13 @@ class TestVerify:
         path = write_instance(tmp_path, "v.json", 2, [3, 5], [])
         code, _, err = run_cli(["verify", "--input", str(path), "--order", "0,0"], capsys)
         assert code == 1
+
+    def test_malformed_ordering_exit_1(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "v.json", 2, [3, 5], [])
+        code, out, err = run_cli(["verify", "--input", str(path), "--order", "0,x"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "malformed ordering '0,x'\n"
 
     def test_cost_agreement_with_solve(self, tmp_path, capsys):
         path = write_instance(tmp_path, "v.json", 4, [4, 1, 3, 2], [[0, 2]])
@@ -162,6 +194,10 @@ class TestGen:
         assert code == 1
         code, _, _ = run_cli(["gen", "--n", "4", "--model", "random-dag", "--density", "2"], capsys)
         assert code == 1
+        code, out, err = run_cli(["gen", "--n", "-1", "--model", "random-dag"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "n and tmax must be nonnegative\n"
 
 
 class TestCount:
@@ -189,6 +225,20 @@ class TestCount:
         path = write_instance(tmp_path, "i.json", 2, [1, 1], [])
         code, _, _ = run_cli(["count", "--input", str(path), "--what", "non-exch-succ"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("jobs,message", [
+        ("0,a", "malformed job list '0,a'"),
+        ("0,2", "job 2 out of range"),
+        ("-1", "job -1 out of range"),
+    ])
+    def test_bad_k_exit_1(self, tmp_path, capsys, jobs, message):
+        path = write_instance(tmp_path, "i.json", 2, [1, 1], [])
+        code, out, err = run_cli(
+            ["count", "--input", str(path), "--what", "non-exch-pred", "--K", jobs], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
 
 
 class TestBench:
@@ -235,6 +285,45 @@ class TestBench:
         code, out, _ = run_cli(["bench", "--dir", str(d), "--algos", "brute"], capsys)
         assert code == 0
         assert out == "instance,n,matching_size,algo,cost,states_expanded,wall_ms,chosen_path\n"
+
+    def test_unknown_algo_exit_1(self, tmp_path, capsys):
+        d = self._populate(tmp_path)
+        code, out, err = run_cli(["bench", "--dir", str(d), "--algos", "dp,fast"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "unknown algorithm 'fast'\n"
+
+    def test_not_a_directory_exit_1(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "a.json", 2, [1, 1], [])
+        code, out, err = run_cli(["bench", "--dir", str(path), "--algos", "dp"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"not a directory: {path}\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        d = self._populate(tmp_path)
+        code, out, err = run_cli(["bench", "--dir", str(d), "--algos", "dp", "--jobs", jobs], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"--jobs must be at least 1, got {jobs}\n"
+
+    def test_cost_mismatch_exit_5(self, tmp_path, capsys, monkeypatch):
+        d = self._populate(tmp_path)
+        real = cli.solve
+
+        def off_by_one(*args, **kwargs):
+            ordering, cost, report = real(*args, **kwargs)
+            return ordering, cost + 1, report
+
+        monkeypatch.setattr(cli, "solve", off_by_one)
+        code, out, err = run_cli(
+            ["bench", "--dir", str(d), "--algos", "dp,full", "--no-timing", "--jobs", "1"], capsys
+        )
+        assert code == 5
+        # the rows are written before the check; the first mismatch is reported
+        assert len(out.splitlines()) == 1 + 2 * 2
+        assert err == "cost mismatch on a.json: [20, 21]\n"
 
     def test_parallel_deterministic(self, tmp_path, capsys):
         d = self._populate(tmp_path)

@@ -109,7 +109,9 @@ class TestSolveFiltered:
         for seed in range(6):
             inst = random_instance(seed + 60, 6, 0.4)
             _, c_fwd, _ = sx.solve_filtered(inst)
-            o_rev, c_rev, _ = sx.solve_filtered(inst, reverse=True)
+            dp = SubsetDP(inst, reverse=True)
+            c_rev = dp.visit(inst.full_mask)
+            o_rev = Ordering.from_sequence(dp.sequence(inst.full_mask))
             assert c_fwd == c_rev
             assert sx.validate_ordering(inst, o_rev)
 

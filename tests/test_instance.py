@@ -229,6 +229,15 @@ class TestJsonInterface:
             sx.instance_from_json(text)
         assert len(err.value.cycle) >= 3
 
+    def test_long_cycle_is_named_without_recursion(self):
+        # far deeper than the default recursion limit
+        n = 3000
+        edges = [[i, (i + 1) % n] for i in range(n)]
+        text = json.dumps({"n": n, "times": [1] * n, "precedences": edges})
+        with pytest.raises(CyclicPrecedence) as err:
+            sx.instance_from_json(text)
+        assert err.value.cycle == list(range(n)) + [0]
+
     @pytest.mark.parametrize(
         "payload",
         [

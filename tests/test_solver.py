@@ -5,7 +5,10 @@ import pytest
 
 import schedexact as sx
 from schedexact import ContradictoryBranch, EpsilonConfig, Infeasible
-from schedexact.solver import QUARTER_NAMES, quarter_case_filter
+from schedexact import dp as dp_module
+from schedexact import solver
+from schedexact.gen import MODELS, generate, to_instance
+from schedexact.solver import QUARTER_NAMES, _w_refinements, quarter_case_filter
 from schedexact.structure import comparability_graph, greedy_maximal_matching
 
 from conftest import mask, random_instance
@@ -526,3 +529,99 @@ class TestSolve:
         bo, bc = sx.brute_force_optimal(inst)
         o, c, rep = sx.solve(inst, EpsilonConfig.make(0.45, 0.46, 0.47, 0.48), wq_cap=0)
         assert c == bc
+
+
+def _forced_instances():
+    """Small instances of the three generators, with and without precedences."""
+    for model in MODELS:
+        for n in (6, 8):
+            for density in (0.1, 0.3, 0.7):
+                for seed in range(4):
+                    yield to_instance(generate(model, n, density, 9, seed))
+
+
+class TestBranchInvariants:
+    """Invariants the branch code relies on instead of checking them, on
+    every branch a forced solve reaches."""
+
+    # These thresholds send most of the instances below to the quarter
+    # cases A and D, and to the independent split, respectively.
+    QUARTERS = EpsilonConfig.make(0.2, 0.21, 0.22, 0.23)
+    SPLIT = EpsilonConfig.make(0.3, 0.3, 0.3, 0.3)
+
+    def test_assignments_agree_with_forced_halves(self):
+        # compute_w_half never raises and every forced-half job keeps at
+        # least one quarter, because the assignments are order-consistent
+        checked = 0
+        for inst in _forced_instances():
+            matched = greedy_maximal_matching(comparability_graph(inst)).matched
+            for var in sx.endpoint_variants(sx.normalize(inst)):
+                vinst = var.base
+                m_set = matched | 1 << var.v_begin | 1 << var.v_end
+                for qa in sx.enumerate_quarter_assignments(
+                    vinst, list(_bits(m_set)), var.v_begin, var.v_end
+                ):
+                    m_ab, m_cd = qa.half_masks()
+                    w_ab, w_cd = sx.compute_w_half(vinst, vinst.full_mask ^ m_set, m_ab, m_cd)
+                    quarter_of = dict(zip(qa.members, qa.quarters))
+                    assert list(_w_refinements(vinst, w_ab, w_cd, quarter_of))
+                    checked += 1
+        assert checked > 10_000
+
+    def test_quarter_labels_keep_their_size(self, monkeypatch):
+        # the labeled engine's keys carry exactly p_val label jobs above the
+        # freeze size and at most p_val at or below it
+        engines = []
+
+        class RecordingDP(dp_module.SubsetDP):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(dp_module, "SubsetDP", RecordingDP)
+        real = solver.solve_quarter_case
+        checked = 0
+
+        def checked_case(inst, ctx, case):
+            nonlocal checked
+            _, _, freeze, p_val, _ = quarter_case_filter(inst, ctx, case)
+            engines.clear()
+            try:
+                return real(inst, ctx, case)
+            finally:
+                (engine,) = engines
+                for key in engine.cost:
+                    labels = (key >> inst.n).bit_count()
+                    if (key & inst.full_mask).bit_count() > freeze:
+                        assert labels == p_val
+                    else:
+                        assert labels <= p_val
+                checked += 1
+
+        monkeypatch.setattr(solver, "solve_quarter_case", checked_case)
+        for inst in _forced_instances():
+            sx.solve(inst, self.QUARTERS)
+        assert checked > 80
+
+    def test_independent_pools_fill_the_quotas(self, monkeypatch):
+        # the four pools partition the jobs not pinned to a quarter, so the
+        # pool sizes sum to the four quotas
+        real = solver.solve_independent_case
+        checked = 0
+
+        def checked_case(inst, ctx, memos=None):
+            nonlocal checked
+            w_masks = ctx.w_masks(include_quarter_guesses=True)
+            qa, qna, qnd, qd = ctx.q_sets()
+            pools = (qa & qnd, qa & qd, qna & qnd, qna & qd)
+            pinned = w_masks[0] | w_masks[1] | w_masks[2] | w_masks[3]
+            assert pools[0] | pools[1] | pools[2] | pools[3] == inst.full_mask & ~pinned
+            quotas = [inst.n // 4 - w.bit_count() for w in w_masks]
+            assert sum(p.bit_count() for p in pools) == sum(quotas)
+            checked += 1
+            return real(inst, ctx, memos)
+
+        monkeypatch.setattr(solver, "solve_independent_case", checked_case)
+        for inst in _forced_instances():
+            sx.solve(inst, self.SPLIT)
+        assert checked > 1000
