@@ -1,9 +1,9 @@
 """Command-line surface: solve, verify, gen, count, bench.
 
 Exit codes: 0 success, 1 malformed input or flags, or an instance above
-the brute-force cap (solve, bench), 2 infeasible or cyclic instance,
-3 invalid ordering (verify), 4 violated counting bound (count), 5 cost
-mismatch between algorithms (bench).
+the brute-force cap (solve, bench) or the ideal-counting cap (count),
+2 infeasible or cyclic instance, 3 invalid ordering (verify), 4 violated
+counting bound (count), 5 cost mismatch between algorithms (bench).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .instance import (
     validate_ordering,
 )
 from .oracle import InstanceTooLarge, brute_force_optimal
-from .solver import EpsilonConfig, SolveReport, solve
+from .solver import EpsilonConfig, solve
 from .structure import (
     comparability_graph,
     count_order_ideals,
@@ -105,13 +105,10 @@ def cmd_solve(args) -> int:
     order_str = ",".join(str(p - 1) for p in ordering.positions)
     print(f"cost={cost} order={order_str}")
     if args.stats:
+        # extra is a SolveReport or a DpStats; both write their own CSV row.
         with open(args.stats, "w", encoding="utf-8") as fh:
-            if isinstance(extra, SolveReport):
-                fh.write("algo," + SolveReport.CSV_HEADER + "\n")
-                fh.write(f"{args.algo}," + extra.as_csv_row() + "\n")
-            else:
-                fh.write("algo," + DpStats.CSV_HEADER + "\n")
-                fh.write(f"{args.algo}," + extra.as_csv_row() + "\n")
+            fh.write("algo," + extra.CSV_HEADER + "\n")
+            fh.write(f"{args.algo}," + extra.as_csv_row() + "\n")
     return 0
 
 
@@ -152,7 +149,11 @@ def cmd_gen(args) -> int:
 def cmd_count(args) -> int:
     inst = _load(args.input)
     if args.what == "ideals":
-        count = count_order_ideals(inst)
+        try:
+            count = count_order_ideals(inst)
+        except InstanceTooLarge as exc:
+            print(f"instance too large: {exc}", file=sys.stderr)
+            return 1
         matching = greedy_maximal_matching(comparability_graph(inst))
         bound = ideal_count_bound(inst.n, matching.num_pairs)
     else:
@@ -169,7 +170,16 @@ def cmd_count(args) -> int:
             if not 0 <= v < inst.n:
                 print(f"job {v} out of range", file=sys.stderr)
                 return 1
+            if k >> v & 1:
+                print(f"job {v} listed twice", file=sys.stderr)
+                return 1
             k |= 1 << v
+        for v in jobs:
+            before = inst.pred_masks[v] & k
+            if before:
+                u = (before & -before).bit_length() - 1
+                print(f"--K is not an antichain: job {u} precedes job {v}", file=sys.stderr)
+                return 1
         mode = "succ" if args.what == "non-exch-succ" else "pred"
         count = len(enumerate_non_exchangeable(inst, k, mode))
         bound = non_exchangeable_bound(inst, k, mode)
@@ -177,19 +187,14 @@ def cmd_count(args) -> int:
     return 4 if count > bound else 0
 
 
-def _bench_one(task: tuple[Path, str], *, config, cap: int, wq_cap: int, timing: bool):
+def _bench_one(task: tuple[str, Instance, int, str], *, config, cap: int, wq_cap: int, timing: bool):
     """One CSV row; module level, so a worker process can unpickle it."""
-    path, algo = task
-    inst = _load(str(path))
-    matching = greedy_maximal_matching(comparability_graph(inst))
+    name, inst, pairs, algo = task
     t0 = time.perf_counter()
     ordering, cost, states, chosen, _ = _run_algo(inst, algo, config, cap, wq_cap)
     wall = (time.perf_counter() - t0) * 1000 if timing else 0.0
-    row = (
-        f"{path.name},{inst.n},{matching.num_pairs},{algo},{cost},"
-        f"{states},{wall:.3f},{chosen}"
-    )
-    return path.name, algo, cost, row
+    row = f"{name},{inst.n},{pairs},{algo},{cost},{states},{wall:.3f},{chosen}"
+    return name, algo, cost, row
 
 
 def cmd_bench(args) -> int:
@@ -206,10 +211,15 @@ def cmd_bench(args) -> int:
             print(f"unknown algorithm {a!r}", file=sys.stderr)
             return 1
     config = _config_from_args(args)
-    files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
+    # Every file is loaded and matched once, here and in name order, so the
+    # first bad file ends the run before any task starts.
+    loaded = []
+    for path in sorted(p for p in directory.iterdir() if p.suffix == ".json"):
+        inst = _load(str(path))
+        loaded.append((path.name, inst, greedy_maximal_matching(comparability_graph(inst)).num_pairs))
     # Algo-major, so the few long brute tasks (brute is listed first in the
     # usual --algos) start before the many short ones.
-    tasks = [(p, a) for a in algos for p in files]
+    tasks = [(name, inst, pairs, a) for a in algos for name, inst, pairs in loaded]
     run = partial(_bench_one, config=config, cap=args.cap, wq_cap=args.wq_cap, timing=not args.no_timing)
 
     # The default start method on Linux, fork, starts every worker at once,
@@ -219,8 +229,8 @@ def cmd_bench(args) -> int:
     if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            # A worker's exception, SystemExit from _load included, is
-            # re-raised here when its result is read.
+            # A worker's exception, InstanceTooLarge from brute, is re-raised
+            # here when its result is read.
             results = list(pool.map(run, tasks))
         finally:
             pool.shutdown(cancel_futures=True)

@@ -24,7 +24,8 @@ share them. solve_filtered and solve_filtered_labeled are one-shot
 drivers: build an engine, visit the start state (for the labeled DP with
 freeze_size < n, every label subset of size label_target at the full
 set), rebuild the sequence. The independent-quarters split keeps one
-offset engine per quarter for all the content guesses of a variant.
+offset engine per quarter for all the content guesses of a variant, and
+the dcdp route runs one offset engine per Sidney block.
 """
 
 from __future__ import annotations

@@ -201,27 +201,6 @@ def succ_set(inst: Instance, jobs: int) -> int:
     return out
 
 
-def induced_instance(inst: Instance, jobs: list[int]) -> Instance:
-    """The instance on the listed jobs alone; job i of it is jobs[i].
-
-    The relation restricted to a subset stays transitively closed.
-    """
-    index = {v: i for i, v in enumerate(jobs)}
-
-    def remap(m: int) -> int:
-        out = 0
-        for v, i in index.items():
-            if m >> v & 1:
-                out |= 1 << i
-        return out
-
-    return Instance(
-        tuple(inst.times[v] for v in jobs),
-        tuple(remap(inst.pred_masks[v]) for v in jobs),
-        tuple(remap(inst.succ_masks[v]) for v in jobs),
-    )
-
-
 def job_cost(inst: Instance, v: int, i: int) -> int:
     """Exact cost of job v at 1-based position i: (n - i + 1) * t(v)."""
     if not 1 <= i <= inst.n:

@@ -3,8 +3,9 @@
 The solver first computes a greedy maximal matching of the comparability
 graph. With enough matched pairs it takes the dcdp route: the instance is
 cut into Sidney blocks (sidney.py) and the plain subset DP solves each
-block on its own. Otherwise the instance is padded, perturbed and solved
-as the minimum over branches:
+block in place, on an engine offset by the jobs of the earlier blocks.
+Otherwise the instance is padded, perturbed and solved as the minimum
+over branches:
 
   * guess the first and the last job (endpoint variants);
   * guess, for every matched or endpoint job, which quarter of the
@@ -51,7 +52,6 @@ from .instance import (
     NormalizedInstance,
     Ordering,
     endpoint_variants,
-    induced_instance,
     normalize,
     ordering_cost,
     restrict_to_origin,
@@ -161,8 +161,6 @@ class BranchContext:
     """One branch's guesses plus everything derived from them."""
 
     n: int
-    v_begin: int
-    v_end: int
     m_set: int
     m_ab: int
     m_cd: int
@@ -198,7 +196,6 @@ class SolveReport:
     branches_pruned: int = 0
     variants_total: int = 0
     stats_total: DpStats = field(default_factory=DpStats)
-    winning_stats: DpStats = field(default_factory=DpStats)
     wall_ms: float = 0.0
     warnings: tuple[str, ...] = ()
     wq_cap_hit: bool = False
@@ -704,8 +701,6 @@ def consistent_context(
     wq_c = quarter_members[2] & ~p_sets[2]
     return BranchContext(
         n=n,
-        v_begin=v_begin,
-        v_end=v_end,
         m_set=m_set,
         m_ab=m_ab,
         m_cd=m_cd,
@@ -729,7 +724,6 @@ class _Candidate:
     cost: int
     ordering: Ordering
     path: str
-    stats: DpStats
 
 
 @dataclass
@@ -751,14 +745,14 @@ class _Search:
         except Infeasible:
             return
         self.report.branches_explored += 1
-        self.report.stats_total.add(result[2])
         ordering, cost, stats = result
+        self.report.stats_total.add(stats)
         if not validate_ordering(inst, ordering):
             raise InternalInconsistency(f"strategy {path} produced an invalid ordering")
         if ordering_cost(inst, ordering) != cost:
             raise InternalInconsistency(f"strategy {path} misreported its cost")
         if self.best is None or cost < self.best.cost:
-            self.best = _Candidate(cost, ordering, path, stats)
+            self.best = _Candidate(cost, ordering, path)
 
     def prune(self) -> None:
         self.report.branches_pruned += 1
@@ -835,40 +829,25 @@ def _ladder(
         cctx = replace(ctx, p_counts=tuple(counts))
         search.run(vinst, f"quarters0-{case}", solve_quarter_case, vinst, cctx, case)
 
+    def widest(cases: list[str], p_of: dict[str, int]) -> Optional[str]:
+        # Of the cases whose count is below half their pool, the one furthest
+        # below it; a tie goes to the earlier quarter.
+        return max(
+            (c for c in cases if 2 * p_of[c] < sizes[CASE_DELTA[c]]),
+            key=lambda c: (Fraction(sizes[CASE_DELTA[c]], 2) - p_of[c], -QUARTER_NAMES.index(c)),
+            default=None,
+        )
+
     grid_b = range(0, min(quarter, sizes[1]) + 1)
     grid_c = range(0, min(quarter, sizes[2]) + 1)
     for p_b in grid_b:
         for p_c in grid_c:
             p_of = {"A": p_a, "B": p_b, "C": p_c, "D": p_d}
-            stage1 = [
-                c
-                for c in QUARTER_NAMES
-                if Fraction(sizes[CASE_DELTA[c]]) >= thr_size
-                and 2 * p_of[c] < sizes[CASE_DELTA[c]]
-            ]
-            if stage1:
-                chosen = max(
-                    stage1,
-                    key=lambda c: (
-                        Fraction(sizes[CASE_DELTA[c]], 2) - p_of[c],
-                        -QUARTER_NAMES.index(c),
-                    ),
-                )
-                run_case(chosen, p_of[chosen])
-                continue
-            stage2 = [
-                c
-                for c in QUARTER_NAMES
-                if Fraction(p_of[c]) < thr_count and 2 * p_of[c] < sizes[CASE_DELTA[c]]
-            ]
-            if stage2:
-                chosen = max(
-                    stage2,
-                    key=lambda c: (
-                        Fraction(sizes[CASE_DELTA[c]], 2) - p_of[c],
-                        -QUARTER_NAMES.index(c),
-                    ),
-                )
+            # Stage 1 admits a case by the size of its pool, stage 2 by its count.
+            chosen = widest(
+                [c for c in QUARTER_NAMES if Fraction(sizes[CASE_DELTA[c]]) >= thr_size], p_of
+            ) or widest([c for c in QUARTER_NAMES if Fraction(p_of[c]) < thr_count], p_of)
+            if chosen is not None:
                 run_case(chosen, p_of[chosen])
                 continue
             if all(Fraction(p_of[c]) >= thr_count for c in QUARTER_NAMES):
@@ -962,7 +941,7 @@ def _solve_variant(
             search.prune()
             continue
         ctx_half = BranchContext(
-            n=n, v_begin=vb, v_end=ve, m_set=m_set,
+            n=n, m_set=m_set,
             m_ab=m_ab, m_cd=m_cd, whalf_ab=w_ab, whalf_cd=w_cd,
         )
         ab_big = Fraction(w_ab.bit_count()) >= config.eps2 * n
@@ -1006,21 +985,19 @@ def _solve_variant(
 def _solve_by_blocks(inst: Instance, report: SolveReport) -> tuple[Ordering, int]:
     """Plain subset DP on each Sidney block, the schedules concatenated.
 
-    A job of a block completes p(earlier blocks) later than in the block's
-    own schedule, which adds |block| * p(earlier blocks) to the block's cost.
+    A block's engine has the earlier blocks' job count as its offset, so
+    its visit weighs each job by the coefficient of its absolute position:
+    the block's share of the whole schedule's cost.
     """
     seq: list[int] = []
     total = 0
-    done = 0
     blocks = sidney_blocks(inst)
     for block in blocks:
-        jobs = [v for v in range(inst.n) if block >> v & 1]
-        sub_ordering, sub_cost, stats = solve_filtered(induced_instance(inst, jobs))
-        report.stats_total.add(stats)
-        seq.extend(jobs[i] for i in sub_ordering.sequence)
-        total += sub_cost + len(jobs) * done
-        done += sum(inst.times[v] for v in jobs)
-        report.max_block = max(report.max_block, len(jobs))
+        dp = SubsetDP(inst, offset=len(seq))
+        total += dp.visit(block)
+        seq.extend(dp.sequence(block))
+        report.stats_total.add(dp.stats())
+        report.max_block = max(report.max_block, block.bit_count())
     report.blocks = len(blocks)
     ordering = Ordering.from_sequence(seq)
     if not validate_ordering(inst, ordering):
@@ -1058,7 +1035,6 @@ def solve(
         ordering, cost = _solve_by_blocks(inst, report)
         report.chosen_path = "dcdp"
         report.branches_explored = 1
-        report.winning_stats = replace(report.stats_total)
         report.wall_ms = (time.perf_counter() - t0) * 1000
         return ordering, cost, report
 
@@ -1099,6 +1075,5 @@ def solve(
         raise InternalInconsistency("projected optimum violates the original constraints")
     cost = ordering_cost(inst, final)
     report.chosen_path = search.best.path
-    report.winning_stats = search.best.stats
     report.wall_ms = (time.perf_counter() - t0) * 1000
     return final, cost, report

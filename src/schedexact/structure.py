@@ -19,7 +19,6 @@ from .oracle import InstanceTooLarge
 class ComparabilityGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class MatchingResult:
 def comparability_graph(inst: Instance) -> ComparabilityGraph:
     """Undirected graph joining every comparable pair."""
     n = inst.n
-    adj = [0] * n
     edges = []
     for v in range(n):
         m = inst.pred_masks[v]
@@ -44,11 +42,9 @@ def comparability_graph(inst: Instance) -> ComparabilityGraph:
             b = m & -m
             m ^= b
             u = b.bit_length() - 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
             edges.append((min(u, v), max(u, v)))
     edges.sort()
-    return ComparabilityGraph(n, tuple(edges), tuple(adj))
+    return ComparabilityGraph(n, tuple(edges))
 
 
 def greedy_maximal_matching(graph: ComparabilityGraph) -> MatchingResult:

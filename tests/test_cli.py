@@ -4,9 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schedexact import build_instance, ordering_cost, validate_ordering
 from schedexact import cli
 from schedexact.cli import main
+from schedexact.solver import EpsilonConfig
 
 from test_golden import write_instances
 
@@ -241,6 +245,27 @@ class TestCount:
         assert err == message + "\n"
 
 
+    @pytest.mark.parametrize("jobs,message", [
+        ("0,2", "--K is not an antichain: job 0 precedes job 2"),
+        ("1,2,0", "--K is not an antichain: job 0 precedes job 2"),
+        ("0,0,1", "job 0 listed twice"),
+    ])
+    @pytest.mark.parametrize("what", ["non-exch-succ", "non-exch-pred"])
+    def test_k_not_an_antichain_exit_1(self, tmp_path, capsys, what, jobs, message):
+        path = write_instance(tmp_path, "i.json", 3, [2, 1, 5], [[0, 2]])
+        code, out, err = run_cli(["count", "--input", str(path), "--what", what, "--K", jobs], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
+
+    def test_ideals_over_cap_exit_1(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "i.json", 30, [1] * 30, [])
+        code, out, err = run_cli(["count", "--input", str(path), "--what", "ideals"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "instance too large: n=30 exceeds ideal counting cap 24\n"
+
+
 class TestBench:
     def _populate(self, tmp_path):
         d = tmp_path / "inst"
@@ -394,6 +419,19 @@ class TestBenchWorkers:
         code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", "2"], capsys)
         assert code == 1
 
+    def test_malformed_one_message(self, tmp_path, capfd, two_cpus):
+        # capfd also sees what a worker process would print
+        d = self._populate(tmp_path, 2)
+        (d / "bad.json").write_text("{")
+        code = main(["bench", "--dir", str(d), "--algos", "dp,dcdp,full", "--jobs", "2"])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "malformed instance: invalid JSON: Expecting property name enclosed in"
+            " double quotes: line 1 column 2 (char 1)\n"
+        )
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_brute_over_cap_exit_1(self, tmp_path, capsys, two_cpus, jobs):
         d = self._populate(tmp_path, 2)
@@ -422,6 +460,31 @@ class TestBenchWorkers:
         code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", str(jobs)], capsys)
         assert code == 0
         assert pool_sizes == []
+
+
+FORCED = EpsilonConfig.make("0.3", "0.3", "0.3", "0.3")
+
+
+class TestRunAlgoDifferential:
+    """Every algo of the CLI, and `full` under both threshold sets, finds
+    the same optimum on small instances with zero and tied times."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_cost_valid_orderings(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=7), label="n")
+        times = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="times")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        inst = build_instance(times, [p for p, keep in zip(pairs, chosen) if keep])
+        runs = [(algo, None) for algo in cli.ALGOS] + [("full", FORCED)]
+        costs = set()
+        for algo, config in runs:
+            ordering, cost, _, _, _ = cli._run_algo(inst, algo, config, 12, 3)
+            assert validate_ordering(inst, ordering), (algo, config)
+            assert ordering_cost(inst, ordering) == cost, (algo, config)
+            costs.add(cost)
+        assert len(costs) == 1
 
 
 class TestEntryPoint:

@@ -5,6 +5,8 @@ chosen path of every algo on 27 generated instances, once with the default
 dispatch thresholds and once with all four at 0.3. Both runs reach the
 plain DP and the forced run also wins with the labeled quarter DP and the
 independent split, so a drift in any of them shows up here byte for byte.
+Each CSV is checked in-process (--jobs 1) and through two worker processes
+(--jobs 2), which receive the instances the parent loaded, pickled.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from schedexact import cli
 from schedexact.cli import main
 from schedexact.gen import MODELS
 
@@ -33,9 +36,9 @@ def write_instances(directory: Path) -> None:
                 seed += 1
 
 
-def bench_csv(directory: Path, out: Path, forced: bool) -> str:
+def bench_csv(directory: Path, out: Path, forced: bool, jobs: str = "1") -> str:
     args = ["bench", "--dir", str(directory), "--algos", "dp,dcdp,full",
-            "--no-timing", "--out", str(out)]
+            "--no-timing", "--jobs", jobs, "--out", str(out)]
     assert main(args + (FORCED_EPS if forced else [])) == 0
     return out.read_text(encoding="utf-8")
 
@@ -47,7 +50,10 @@ def instance_dir(tmp_path_factory):
     return directory
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("name,forced", [("bench_default.csv", False), ("bench_forced.csv", True)])
-def test_bench_matches_golden(instance_dir, tmp_path, name, forced):
-    got = bench_csv(instance_dir, tmp_path / name, forced)
+def test_bench_matches_golden(instance_dir, tmp_path, monkeypatch, name, forced, jobs):
+    # two CPUs, so that --jobs 2 takes the worker pool on any machine
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    got = bench_csv(instance_dir, tmp_path / name, forced, jobs)
     assert got == (DATA / name).read_text(encoding="utf-8")

@@ -56,6 +56,13 @@ def _check_blocks(inst):
         rest &= ~block
 
 
+def _block_instance(inst, jobs: list[int]):
+    """The instance on the listed jobs alone, built afresh; its job i is jobs[i]."""
+    index = {v: i for i, v in enumerate(jobs)}
+    edges = [(index[u], index[v]) for u in jobs for v in jobs if inst.pred_masks[v] >> u & 1]
+    return sx.build_instance([inst.times[v] for v in jobs], edges)
+
+
 def _all_rest_ideals(inst, rest: int) -> list[int]:
     out = []
     sub = rest
@@ -175,6 +182,31 @@ class TestDifferential:
             inst = random_instance(seed + 500, 8, 0.3, tmax=1)
             o, c, _ = sx.solve(inst)
             assert c == sx.brute_force_optimal(inst)[1]
+
+    @pytest.mark.parametrize("tmax", [0, 1, 20])  # all zero, many ties, spread
+    @pytest.mark.parametrize("model", MODELS)
+    def test_each_block_is_plain_dp_on_its_own_instance(self, model, tmax):
+        # the block route's slice of the schedule, and its state counts, are
+        # those of plain dp on an instance built from the block's jobs alone
+        checked = 0
+        for n in (2, 5, 8, 11):
+            for density in (0.1, 0.3, 0.6):
+                for seed in range(3):
+                    inst = to_instance(generate(model, n, density, tmax, seed))
+                    o, _, rep = sx.solve(inst)
+                    if rep.chosen_path != "dcdp":
+                        continue
+                    start = 0
+                    summed = sx.DpStats()
+                    for block in sx.sidney_blocks(inst):
+                        jobs = [v for v in range(inst.n) if block >> v & 1]
+                        sub_o, _, stats = sx.solve_filtered(_block_instance(inst, jobs))
+                        assert o.sequence[start:start + len(jobs)] == tuple(jobs[i] for i in sub_o.sequence)
+                        start += len(jobs)
+                        summed.add(stats)
+                    assert rep.stats_total == summed
+                    checked += 1
+        assert checked >= 10
 
     def test_states_bounded_by_plain_dp(self):
         # earlier blocks plus an ideal of block i is an ideal of the whole
