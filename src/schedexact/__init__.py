@@ -14,7 +14,6 @@ from .instance import (
     instance_from_json,
     instance_to_json,
     job_cost,
-    load_instance,
     normalize,
     ordering_cost,
     pred_set,
@@ -29,8 +28,6 @@ from .dp import (
     Infeasible,
     is_downward_closed,
     labeled_trace,
-    max_elements,
-    min_elements,
     prefix_trace,
     solve_filtered,
     solve_filtered_labeled,

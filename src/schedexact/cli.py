@@ -1,9 +1,10 @@
 """Command-line surface: solve, verify, gen, count, bench.
 
-Exit codes: 0 success, 1 malformed input or flags, or an instance above
-the brute-force cap (solve, bench) or the ideal-counting cap (count),
-2 infeasible or cyclic instance, 3 invalid ordering (verify), 4 violated
-counting bound (count), 5 cost mismatch between algorithms (bench).
+Exit codes: 0 success, 1 malformed input or flags (a negative --wq-cap
+included), or an instance above the brute-force cap (solve, bench) or the
+ideal-counting cap (count), 2 infeasible or cyclic instance, 3 invalid
+ordering (verify), 4 violated counting bound (count), 5 cost mismatch
+between algorithms (bench).
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ def _load(path: str) -> Instance:
 
 
 def _config_from_args(args) -> EpsilonConfig | None:
+    """The eps config of the solver flags; exits 1 on a bad config or a
+    negative --wq-cap."""
+    if args.wq_cap < 0:
+        print(f"--wq-cap must be at least 0, got {args.wq_cap}", file=sys.stderr)
+        raise SystemExit(1)
     eps = (args.eps1, args.eps2, args.eps3, args.eps4)
     if all(e is None for e in eps):
         return None
@@ -115,7 +121,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load(args.input)
     try:
-        positions = [int(tok) + 1 for tok in args.order.split(",") if tok != ""]
+        # "" is the empty ordering; an empty token anywhere else is malformed.
+        positions = [int(tok) + 1 for tok in args.order.split(",")] if args.order else []
     except ValueError:
         print(f"malformed ordering {args.order!r}", file=sys.stderr)
         return 1
@@ -258,7 +265,7 @@ def cmd_bench(args) -> int:
 def _add_eps_flags(p: argparse.ArgumentParser) -> None:
     for i in (1, 2, 3, 4):
         p.add_argument(f"--eps{i}", default=None, help=f"dispatch threshold eps{i} (exact rational or decimal)")
-    p.add_argument("--wq-cap", type=int, default=3, help="max size of a guessed quarter-window set")
+    p.add_argument("--wq-cap", type=int, default=3, help="max size of a guessed quarter-window set, at least 0")
     p.add_argument("--cap", type=int, default=12, help="brute-force enumeration cap")
 
 

@@ -62,32 +62,6 @@ class DpStats:
         self.peak_table_size = max(self.peak_table_size, other.peak_table_size)
 
 
-def max_elements(inst: Instance, x: int) -> int:
-    """Members of x with no successor inside x."""
-    out = 0
-    m = x
-    succ = inst.succ_masks
-    while m:
-        b = m & -m
-        m ^= b
-        if not succ[b.bit_length() - 1] & x:
-            out |= b
-    return out
-
-
-def min_elements(inst: Instance, x: int) -> int:
-    """Members of x with no predecessor inside x."""
-    out = 0
-    m = x
-    pred = inst.pred_masks
-    while m:
-        b = m & -m
-        m ^= b
-        if not pred[b.bit_length() - 1] & x:
-            out |= b
-    return out
-
-
 def is_downward_closed(inst: Instance, x: int) -> bool:
     m = x
     pred = inst.pred_masks

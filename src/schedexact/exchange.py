@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .instance import Instance, pred_set, succ_set
+from .instance import Instance, bits, pred_set, succ_set
 
 
 class NotASubset(ValueError):
@@ -30,13 +30,6 @@ class NotASubset(ValueError):
 
 class SetTooLarge(ValueError):
     pass
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
 
 
 def _require_subset(l: int, k: int) -> None:
@@ -49,12 +42,12 @@ def is_succ_exchangeable(inst: Instance, l: int, k: int) -> bool:
     in (k & pred(w)) outside l."""
     _require_subset(l, k)
     times = inst.times
-    for u in _bits(l):
+    for u in bits(l):
         tu = times[u]
         witness = True
-        for w in _bits(inst.succ_masks[u]):
+        for w in bits(inst.succ_masks[u]):
             cands = k & inst.pred_masks[w] & ~l
-            if not any(times[v] < tu for v in _bits(cands)):
+            if not any(times[v] < tu for v in bits(cands)):
                 witness = False
                 break
         if witness:
@@ -67,12 +60,12 @@ def is_pred_exchangeable(inst: Instance, l: int, k: int) -> bool:
     member of l among w's successors."""
     _require_subset(l, k)
     times = inst.times
-    for v in _bits(k & ~l):
+    for v in bits(k & ~l):
         tv = times[v]
         witness = True
-        for w in _bits(inst.pred_masks[v]):
+        for w in bits(inst.pred_masks[v]):
             cands = l & inst.succ_masks[w]
-            if not any(times[u] > tv for u in _bits(cands)):
+            if not any(times[u] > tv for u in bits(cands)):
                 witness = False
                 break
         if witness:
@@ -86,10 +79,10 @@ def encode_succ(inst: Instance, y: int, k: int) -> int:
     _require_subset(y, k)
     times = inst.times
     out = 0
-    for w in _bits(succ_set(inst, k)):
+    for w in bits(succ_set(inst, k)):
         cands = k & ~y & inst.pred_masks[w]
         if cands:
-            best = min(_bits(cands), key=lambda v: (times[v], v))
+            best = min(bits(cands), key=lambda v: (times[v], v))
             out |= 1 << best
     return out
 
@@ -100,10 +93,10 @@ def decode_succ(inst: Instance, z: int, k: int) -> int:
     _require_subset(z, k)
     times = inst.times
     out = 0
-    for v in _bits(k):
+    for v in bits(k):
         tv = times[v]
-        for w in _bits(inst.succ_masks[v]):
-            if all(times[x] > tv for x in _bits(z & inst.pred_masks[w])):
+        for w in bits(inst.succ_masks[v]):
+            if all(times[x] > tv for x in bits(z & inst.pred_masks[w])):
                 out |= 1 << v
                 break
     return out
@@ -115,10 +108,10 @@ def encode_pred(inst: Instance, y: int, k: int) -> int:
     _require_subset(y, k)
     times = inst.times
     out = 0
-    for w in _bits(pred_set(inst, k)):
+    for w in bits(pred_set(inst, k)):
         cands = y & inst.succ_masks[w]
         if cands:
-            best = max(_bits(cands), key=lambda v: (times[v], -v))
+            best = max(bits(cands), key=lambda v: (times[v], -v))
             out |= 1 << best
     return out
 
@@ -129,11 +122,11 @@ def decode_pred(inst: Instance, z: int, k: int) -> int:
     _require_subset(z, k)
     times = inst.times
     out = 0
-    for v in _bits(k):
+    for v in bits(k):
         tv = times[v]
         ok = True
-        for w in _bits(inst.pred_masks[v]):
-            if not any(times[x] >= tv for x in _bits(z & inst.succ_masks[w])):
+        for w in bits(inst.pred_masks[v]):
+            if not any(times[x] >= tv for x in bits(z & inst.succ_masks[w])):
                 ok = False
                 break
         if ok:
@@ -152,7 +145,7 @@ def enumerate_non_exchangeable(inst: Instance, k: int, mode: str) -> list[int]:
         check = is_pred_exchangeable
     else:
         raise ValueError(f"mode must be 'succ' or 'pred', got {mode!r}")
-    bits = [1 << v for v in _bits(k)]
+    singles = [1 << v for v in bits(k)]
     out = []
     for pattern in range(1 << size):
         l = 0
@@ -160,7 +153,7 @@ def enumerate_non_exchangeable(inst: Instance, k: int, mode: str) -> list[int]:
         i = 0
         while p:
             if p & 1:
-                l |= bits[i]
+                l |= singles[i]
             p >>= 1
             i += 1
         if not check(inst, l, k):

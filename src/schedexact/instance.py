@@ -27,6 +27,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
+
+
 class CyclicPrecedence(ValueError):
     """Raised when the precedence input admits no valid ordering."""
 
@@ -344,8 +352,3 @@ def instance_from_json(text: str) -> Instance:
 def instance_to_json(n: int, times, precedences) -> str:
     payload = {"n": n, "times": list(times), "precedences": [list(e) for e in precedences]}
     return json.dumps(payload, sort_keys=True) + "\n"
-
-
-def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())

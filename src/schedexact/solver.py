@@ -21,6 +21,16 @@ and recosted before entering the global minimum, so a wrong filter can
 only lose performance, never correctness; completeness comes from the
 branch whose guesses match the optimum.
 
+Two constructors build every branch: _half_split (the half split of the
+guessed jobs and the free jobs it forces into a half) and _refine (the
+quarters of those jobs, the eligibility partition of the rest and the A
+and D counts). consistent_context, the branch whose guesses match a given
+ordering, is built by the same two and adds only what the ordering
+knows: the B and C counts and the quarter-window jobs. One bound,
+_branch_bound, prunes every refined branch and every quarter-window guess
+inside one: each group of jobs is paired with the smallest position
+coefficients of the quarters it may occupy.
+
 Quarters are indexed 0..3 and named A..D. Position ranges are
 (0, n/4], (n/4, n/2], (n/2, 3n/4], (3n/4, n]. Cases A and B run the
 forward DP; cases C and D run the reverse DP over schedule suffixes,
@@ -51,6 +61,7 @@ from .instance import (
     Instance,
     NormalizedInstance,
     Ordering,
+    bits,
     endpoint_variants,
     normalize,
     ordering_cost,
@@ -183,6 +194,10 @@ class BranchContext:
             out[2] |= self.wq_c
         return tuple(out)
 
+    def free(self) -> int:
+        """The jobs neither guessed nor forced into a half."""
+        return ((1 << self.n) - 1) ^ self.m_set ^ self.whalf_ab ^ self.whalf_cd
+
     def q_sets(self) -> tuple[int, int, int, int]:
         assert self.p_sets is not None
         wq = self.wq_b | self.wq_c
@@ -258,11 +273,7 @@ def enumerate_quarter_assignments(
     preds_in: list[list[int]] = [[] for _ in range(k)]
     succs_in: list[list[int]] = [[] for _ in range(k)]
     for i, v in enumerate(members):
-        m = inst.pred_masks[v]
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
+        for u in bits(inst.pred_masks[v]):
             if u in idx:
                 preds_in[i].append(idx[u])
                 succs_in[idx[u]].append(i)
@@ -303,15 +314,11 @@ def compute_w_half(inst: Instance, i1: int, m_ab: int, m_cd: int) -> tuple[int, 
     split of the matched set. Raises ContradictoryBranch on overlap."""
     w_ab = 0
     w_cd = 0
-    m = i1
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
+    for v in bits(i1):
         if inst.succ_masks[v] & m_ab:
-            w_ab |= b
+            w_ab |= 1 << v
         if inst.pred_masks[v] & m_cd:
-            w_cd |= b
+            w_cd |= 1 << v
     if w_ab & w_cd:
         raise ContradictoryBranch(
             f"jobs {w_ab & w_cd:#x} are forced into both halves"
@@ -327,15 +334,11 @@ def compute_p_partitions(inst: Instance, i2: int, m_b: int, m_c: int) -> tuple[i
     """
     p_not_a = 0
     p_not_d = 0
-    m = i2
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
+    for v in bits(i2):
         if inst.pred_masks[v] & m_b:
-            p_not_a |= b
+            p_not_a |= 1 << v
         if inst.succ_masks[v] & m_c:
-            p_not_d |= b
+            p_not_d |= 1 << v
     return i2 ^ p_not_a, p_not_a, p_not_d, i2 ^ p_not_d
 
 
@@ -485,17 +488,12 @@ def _relaxed_bound(inst: Instance, n: int, groups) -> int:
     contribution. Relaxes all precedence and all cross-group collisions.
     """
     bounds = quarter_bounds(n)
+    times = inst.times
     total = 0
     for jobs_mask, quarters in groups:
         if not jobs_mask:
             continue
-        ts = []
-        m = jobs_mask
-        while m:
-            b = m & -m
-            m ^= b
-            ts.append(inst.times[b.bit_length() - 1])
-        ts.sort(reverse=True)
+        ts = sorted([times[v] for v in bits(jobs_mask)], reverse=True)
         coeffs: list[int] = []
         for g in quarters:
             lo, hi = bounds[g]
@@ -622,32 +620,73 @@ def _w_refinements(
     """
     choices: list[tuple[int, tuple[int, ...]]] = []
     for mask, opts in ((w_ab, (0, 1)), (w_cd, (2, 3))):
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            lo, hi = 0, 3
-            pm = inst.pred_masks[v]
-            while pm:
-                pb = pm & -pm
-                pm ^= pb
-                q = m_quarter_of.get(pb.bit_length() - 1)
-                if q is not None and q > lo:
-                    lo = q
-            sm = inst.succ_masks[v]
-            while sm:
-                sb = sm & -sm
-                sm ^= sb
-                q = m_quarter_of.get(sb.bit_length() - 1)
-                if q is not None and q < hi:
-                    hi = q
+        for v in bits(mask):
+            lo = max((m_quarter_of.get(u, 0) for u in bits(inst.pred_masks[v])), default=0)
+            hi = min((m_quarter_of.get(u, 3) for u in bits(inst.succ_masks[v])), default=3)
             choices.append((v, tuple(q for q in opts if lo <= q <= hi)))
     for assign in product(*(a for _, a in choices)):
         out = [0, 0, 0, 0]
         for (v, _), q in zip(choices, assign):
             out[q] |= 1 << v
         yield tuple(out)
+
+
+def _half_split(vinst: Instance, m_set: int, m_ab: int, m_cd: int) -> BranchContext:
+    """The branch that splits the guessed jobs m_set into halves m_ab, m_cd."""
+    # Cannot raise: the split comes from an order-consistent quarter
+    # assignment, so no free job follows a C/D member and precedes an A/B
+    # member.
+    w_ab, w_cd = compute_w_half(vinst, vinst.full_mask ^ m_set, m_ab, m_cd)
+    return BranchContext(
+        n=vinst.n, m_set=m_set, m_ab=m_ab, m_cd=m_cd, whalf_ab=w_ab, whalf_cd=w_cd
+    )
+
+
+def _refine(
+    vinst: Instance,
+    ctx_half: BranchContext,
+    m_q: tuple[int, int, int, int],
+    w_half_q: tuple[int, int, int, int],
+    p_sets: Optional[tuple[int, int, int, int]] = None,
+) -> Optional[BranchContext]:
+    """A half-split branch refined by the quarters of the guessed jobs (m_q)
+    and of the forced-half jobs (w_half_q), or None when they overfill
+    quarter A or D.
+
+    The eligibility partition depends on m_q alone, so a caller refining
+    one assignment several times passes it in as p_sets. The A and D counts
+    are what the quarter quotas leave for the free jobs; the B and C counts
+    stay unset.
+    """
+    quarter = vinst.n // 4
+    p_a = quarter - (m_q[0] | w_half_q[0]).bit_count()
+    p_d = quarter - (m_q[3] | w_half_q[3]).bit_count()
+    if p_a < 0 or p_d < 0:
+        return None
+    if p_sets is None:
+        p_sets = compute_p_partitions(vinst, ctx_half.free(), m_q[1], m_q[2])
+    return replace(
+        ctx_half, m_q=m_q, w_half_q=w_half_q, p_sets=p_sets, p_counts=(p_a, None, None, p_d)
+    )
+
+
+def _branch_bound(vinst: Instance, ctx: BranchContext, wq_b: int = 0, wq_c: int = 0) -> int:
+    """The relaxation bound of a refined branch under the quarter-window
+    guesses wq_b and wq_c: pinned and guessed jobs in their own quarter,
+    every other free job in the quarters its eligibility allows."""
+    w_a, w_b, w_c, w_d = ctx.w_masks()
+    p_a, p_na, p_nd, p_d = ctx.p_sets
+    rest = ~(wq_b | wq_c)
+    return _relaxed_bound(vinst, ctx.n, (
+        (w_a, (0,)),
+        (w_b | wq_b, (1,)),
+        (w_c | wq_c, (2,)),
+        (w_d, (3,)),
+        (p_a & p_nd & rest, (0, 1, 2)),
+        (p_a & p_d & rest, (0, 1, 2, 3)),
+        (p_na & p_nd & rest, (1, 2)),
+        (p_na & p_d & rest, (1, 2, 3)),
+    ))
 
 
 def consistent_context(
@@ -659,59 +698,33 @@ def consistent_context(
 ) -> BranchContext:
     """The branch whose every guess matches the given ordering.
 
-    Used by verification: the filters of this branch must accept the whole
-    trace of the ordering.
+    Built by the search's own constructors from the quarters the ordering
+    gives the guessed and the forced-half jobs; the ordering then adds the
+    B and C counts and the quarter-window jobs. Used by verification: the
+    filters of this branch must accept the whole trace of the ordering.
     """
-    n = vinst.n
-    m_set = matched_mask | (1 << v_begin) | (1 << v_end)
-    i1 = vinst.full_mask ^ m_set
     pos = ordering.positions
-    q = n // 4
+    q = vinst.n // 4
 
-    def quarter_of(v: int) -> int:
-        return (pos[v] - 1) // q
+    def by_quarter(mask: int) -> tuple[int, int, int, int]:
+        out = [0, 0, 0, 0]
+        for v in bits(mask):
+            out[(pos[v] - 1) // q] |= 1 << v
+        return tuple(out)
 
-    masks = [0, 0, 0, 0]
-    m = m_set
-    while m:
-        b = m & -m
-        m ^= b
-        masks[quarter_of(b.bit_length() - 1)] |= b
-    m_ab, m_cd = masks[0] | masks[1], masks[2] | masks[3]
-    w_ab, w_cd = compute_w_half(vinst, i1, m_ab, m_cd)
-    w_half_masks = [0, 0, 0, 0]
-    m = w_ab | w_cd
-    while m:
-        b = m & -m
-        m ^= b
-        w_half_masks[quarter_of(b.bit_length() - 1)] |= b
-    i2 = i1 ^ (w_ab | w_cd)
-    p_sets = compute_p_partitions(vinst, i2, masks[1], masks[2])
-    quarter_members = [0, 0, 0, 0]
-    m = i2
-    while m:
-        b = m & -m
-        m ^= b
-        quarter_members[quarter_of(b.bit_length() - 1)] |= b
-    p_a = (p_sets[0] & quarter_members[0]).bit_count()
-    p_b = (p_sets[1] & quarter_members[1]).bit_count()
-    p_c = (p_sets[2] & quarter_members[2]).bit_count()
-    p_d = (p_sets[3] & quarter_members[3]).bit_count()
-    wq_b = quarter_members[1] & ~p_sets[1]
-    wq_c = quarter_members[2] & ~p_sets[2]
-    return BranchContext(
-        n=n,
-        m_set=m_set,
-        m_ab=m_ab,
-        m_cd=m_cd,
-        whalf_ab=w_ab,
-        whalf_cd=w_cd,
-        m_q=tuple(masks),
-        w_half_q=tuple(w_half_masks),
-        p_sets=p_sets,
-        p_counts=(p_a, p_b, p_c, p_d),
-        wq_b=wq_b,
-        wq_c=wq_c,
+    m_set = matched_mask | (1 << v_begin) | (1 << v_end)
+    m_q = by_quarter(m_set)
+    ctx_half = _half_split(vinst, m_set, m_q[0] | m_q[1], m_q[2] | m_q[3])
+    ctx = _refine(vinst, ctx_half, m_q, by_quarter(ctx_half.whalf_ab | ctx_half.whalf_cd))
+    assert ctx is not None, "a valid ordering fills each quarter exactly"
+    placed = by_quarter(ctx.free())
+    p_a, _, _, p_d = ctx.p_counts
+    p_na, p_nd = ctx.p_sets[1], ctx.p_sets[2]
+    return replace(
+        ctx,
+        p_counts=(p_a, (placed[1] & p_na).bit_count(), (placed[2] & p_nd).bit_count(), p_d),
+        wq_b=placed[1] & ~p_na,
+        wq_c=placed[2] & ~p_nd,
     )
 
 
@@ -784,18 +797,6 @@ def _greedy_schedule(inst: Instance) -> tuple[int, Ordering]:
     return cost, Ordering.from_sequence(seq)
 
 
-def _flex_groups_for_branch(ctx: BranchContext):
-    """Allowed-quarter groups of the free jobs implied by the eligibility
-    partition; feeds the relaxation bound."""
-    p_a, p_na, p_nd, p_d = ctx.p_sets
-    return (
-        (p_a & p_nd, (0, 1, 2)),
-        (p_a & p_d, (0, 1, 2, 3)),
-        (p_na & p_nd, (1, 2)),
-        (p_na & p_d, (1, 2, 3)),
-    )
-
-
 def _ladder(
     vinst: Instance,
     ctx: BranchContext,
@@ -809,48 +810,43 @@ def _ladder(
     assert ctx.p_sets is not None and ctx.p_counts is not None
     thr_size = (Fraction(1, 2) + config.eps3) * n
     thr_count = (Fraction(1, 4) - config.eps4) * n
-    sizes = [p.bit_count() for p in ctx.p_sets]
+    p_sets = ctx.p_sets
+    sizes = [p.bit_count() for p in p_sets]
+    # Stage 1 admits a case by the size of its pool, stage 2 by its count.
+    by_size = [g for g in range(4) if sizes[g] >= thr_size]
     p_a, _, _, p_d = ctx.p_counts
     w_masks = ctx.w_masks()
     quarter = n // 4
-    p_sets = ctx.p_sets
 
-    executed: set[tuple[str, int]] = set()
+    executed: set[tuple[int, int]] = set()
     fallback_done = False
 
-    def run_case(case: str, p_val: int) -> None:
-        key = (case, p_val)
-        if key in executed:
-            return
-        executed.add(key)
-        gamma = QUARTER_NAMES.index(case)
-        counts: list[Optional[int]] = [p_a, None, None, p_d]
-        counts[gamma] = p_val
-        cctx = replace(ctx, p_counts=tuple(counts))
-        search.run(vinst, f"quarters0-{case}", solve_quarter_case, vinst, cctx, case)
-
-    def widest(cases: list[str], p_of: dict[str, int]) -> Optional[str]:
+    def widest(cases: list[int], counts: tuple[int, ...]) -> Optional[int]:
         # Of the cases whose count is below half their pool, the one furthest
         # below it; a tie goes to the earlier quarter.
         return max(
-            (c for c in cases if 2 * p_of[c] < sizes[CASE_DELTA[c]]),
-            key=lambda c: (Fraction(sizes[CASE_DELTA[c]], 2) - p_of[c], -QUARTER_NAMES.index(c)),
+            (g for g in cases if 2 * counts[g] < sizes[g]),
+            key=lambda g: (Fraction(sizes[g], 2) - counts[g], -g),
             default=None,
         )
 
-    grid_b = range(0, min(quarter, sizes[1]) + 1)
-    grid_c = range(0, min(quarter, sizes[2]) + 1)
-    for p_b in grid_b:
-        for p_c in grid_c:
-            p_of = {"A": p_a, "B": p_b, "C": p_c, "D": p_d}
-            # Stage 1 admits a case by the size of its pool, stage 2 by its count.
-            chosen = widest(
-                [c for c in QUARTER_NAMES if Fraction(sizes[CASE_DELTA[c]]) >= thr_size], p_of
-            ) or widest([c for c in QUARTER_NAMES if Fraction(p_of[c]) < thr_count], p_of)
+    for p_b in range(0, min(quarter, sizes[1]) + 1):
+        for p_c in range(0, min(quarter, sizes[2]) + 1):
+            counts = (p_a, p_b, p_c, p_d)
+            chosen = widest(by_size, counts)
+            if chosen is None:
+                chosen = widest([g for g in range(4) if counts[g] < thr_count], counts)
             if chosen is not None:
-                run_case(chosen, p_of[chosen])
+                # A quarter case reads only its own count.
+                if (chosen, counts[chosen]) not in executed:
+                    executed.add((chosen, counts[chosen]))
+                    case = QUARTER_NAMES[chosen]
+                    search.run(
+                        vinst, f"quarters0-{case}",
+                        solve_quarter_case, vinst, replace(ctx, p_counts=counts), case,
+                    )
                 continue
-            if all(Fraction(p_of[c]) >= thr_count for c in QUARTER_NAMES):
+            if all(c >= thr_count for c in counts):
                 need_b = quarter - w_masks[1].bit_count() - p_b
                 need_c = quarter - w_masks[2].bit_count() - p_c
                 if need_b < 0 or need_c < 0:
@@ -858,39 +854,19 @@ def _ladder(
                 if need_b > wq_cap or need_c > wq_cap:
                     search.report.wq_cap_hit = True
                 else:
-                    counts = (p_a, p_b, p_c, p_d)
-                    flex0 = _flex_groups_for_branch(ctx)
                     ran_any = False
                     for wq_b in subsets_of_size(p_sets[0], need_b):
                         ran_any = True
-                        partial = [
-                            (w_masks[0], (0,)),
-                            (w_masks[1] | wq_b, (1,)),
-                            (w_masks[2], (2,)),
-                            (w_masks[3], (3,)),
-                        ] + [(q & ~wq_b, gs) for q, gs in flex0]
-                        if _relaxed_bound(vinst, n, partial) > search.bound():
+                        if _branch_bound(vinst, ctx, wq_b) > search.bound():
                             search.prune()
                             continue
                         for wq_c in subsets_of_size(p_sets[3] & ~wq_b, need_c):
-                            ictx = replace(ctx, p_counts=counts, wq_b=wq_b, wq_c=wq_c)
-                            lb = _relaxed_bound(
-                                vinst,
-                                n,
-                                list(
-                                    (w, (g,))
-                                    for g, w in enumerate(
-                                        ictx.w_masks(include_quarter_guesses=True)
-                                    )
-                                )
-                                + [(q & ~(wq_b | wq_c), gs) for q, gs in flex0],
-                            )
-                            if lb > search.bound():
+                            if _branch_bound(vinst, ctx, wq_b, wq_c) > search.bound():
                                 search.prune()
                                 continue
                             search.run(
-                                vinst, "independent",
-                                solve_independent_case, vinst, ictx, memos,
+                                vinst, "independent", solve_independent_case, vinst,
+                                replace(ctx, p_counts=counts, wq_b=wq_b, wq_c=wq_c), memos,
                             )
                     if ran_any:
                         continue
@@ -915,24 +891,16 @@ def _solve_variant(
     vb, ve = var.v_begin, var.v_end
     assert vb is not None and ve is not None
     m_set = matched_mask | (1 << vb) | (1 << ve)
-    i1 = vinst.full_mask ^ m_set
-    members = []
-    m = m_set
-    while m:
-        b = m & -m
-        m ^= b
-        members.append(b.bit_length() - 1)
     memos = _quarter_memos(vinst)
 
     groups: dict[tuple[int, int], list[QuarterAssignment]] = {}
-    for qa in enumerate_quarter_assignments(vinst, members, vb, ve):
+    for qa in enumerate_quarter_assignments(vinst, bits(m_set), vb, ve):
         groups.setdefault(qa.half_masks(), []).append(qa)
 
     for (m_ab, m_cd), assignments in sorted(groups.items()):
-        # Cannot raise: the assignments are order-consistent, so no free job
-        # follows a C/D member and precedes an A/B member.
-        w_ab, w_cd = compute_w_half(vinst, i1, m_ab, m_cd)
-        free = i1 ^ (w_ab | w_cd)
+        ctx_half = _half_split(vinst, m_set, m_ab, m_cd)
+        w_ab, w_cd = ctx_half.whalf_ab, ctx_half.whalf_cd
+        free = ctx_half.free()
         lb_half = _relaxed_bound(
             vinst, n,
             [(m_ab | w_ab, (0, 1)), (m_cd | w_cd, (2, 3)), (free, (0, 1, 2, 3))],
@@ -940,10 +908,6 @@ def _solve_variant(
         if lb_half > search.bound():
             search.prune()
             continue
-        ctx_half = BranchContext(
-            n=n, m_set=m_set,
-            m_ab=m_ab, m_cd=m_cd, whalf_ab=w_ab, whalf_cd=w_cd,
-        )
         ab_big = Fraction(w_ab.bit_count()) >= config.eps2 * n
         cd_big = Fraction(w_cd.bit_count()) >= config.eps2 * n
         if ab_big or cd_big:
@@ -953,30 +917,13 @@ def _solve_variant(
                 side = "AB" if ab_big else "CD"
             search.run(vinst, "half", solve_half_case, vinst, ctx_half, side)
             continue
-        i2 = i1 ^ (w_ab | w_cd)
         for qa in assignments:
             m_q = qa.masks()
-            m_quarter_of = {v: q for v, q in zip(qa.members, qa.quarters)}
+            p_sets = compute_p_partitions(vinst, free, m_q[1], m_q[2])
+            m_quarter_of = dict(zip(qa.members, qa.quarters))
             for w_half_q in _w_refinements(vinst, w_ab, w_cd, m_quarter_of):
-                p_sets = compute_p_partitions(vinst, i2, m_q[1], m_q[2])
-                p_a = n // 4 - (m_q[0] | w_half_q[0]).bit_count()
-                p_d = n // 4 - (m_q[3] | w_half_q[3]).bit_count()
-                if p_a < 0 or p_d < 0:
-                    search.prune()
-                    continue
-                ctx = replace(
-                    ctx_half,
-                    m_q=m_q,
-                    w_half_q=w_half_q,
-                    p_sets=p_sets,
-                    p_counts=(p_a, None, None, p_d),
-                )
-                lb = _relaxed_bound(
-                    vinst, n,
-                    [(w, (g,)) for g, w in enumerate(ctx.w_masks())]
-                    + list(_flex_groups_for_branch(ctx)),
-                )
-                if lb > search.bound():
+                ctx = _refine(vinst, ctx_half, m_q, w_half_q, p_sets)
+                if ctx is None or _branch_bound(vinst, ctx) > search.bound():
                     search.prune()
                     continue
                 _ladder(vinst, ctx, config, wq_cap, search, memos)
@@ -1017,8 +964,11 @@ def solve(
 
     The reported cost is always the plain objective on the given times;
     the internal perturbation never leaks. The report records which
-    strategy produced the winning branch.
+    strategy produced the winning branch. Raises ValueError on a negative
+    wq_cap.
     """
+    if wq_cap < 0:
+        raise ValueError(f"wq_cap must be at least 0, got {wq_cap}")
     t0 = time.perf_counter()
     if config is None:
         config = _DEFAULT_CONFIG

@@ -121,6 +121,19 @@ class TestSolve:
         code, _, err = run_cli(["solve", "--input", str(path), "--eps1", "0.9"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("algo", ["brute", "full"])
+    def test_negative_wq_cap_exit_1(self, tmp_path, capsys, algo):
+        path = write_instance(tmp_path, "c.json", 2, [1, 1], [])
+        code, out, err = run_cli(
+            ["solve", "--input", str(path), "--algo", algo, "--wq-cap", "-4"], capsys
+        )
+        assert (code, out, err) == (1, "", "--wq-cap must be at least 0, got -4\n")
+
+    def test_zero_wq_cap_accepted(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "c.json", 2, [1, 1], [])
+        code, out, _ = run_cli(["solve", "--input", str(path), "--wq-cap", "0"], capsys)
+        assert (code, out) == (0, "cost=3 order=0,1\n")
+
 
 class TestVerify:
     def test_valid(self, tmp_path, capsys):
@@ -146,6 +159,17 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "malformed ordering '0,x'\n"
+
+    @pytest.mark.parametrize("order", ["0,,1,2", "0,1,2,", ",0,1,2", "0,1,,2,", ","])
+    def test_empty_token_exit_1(self, tmp_path, capsys, order):
+        path = write_instance(tmp_path, "v.json", 3, [3, 5, 1], [])
+        code, out, err = run_cli(["verify", "--input", str(path), "--order", order], capsys)
+        assert (code, out, err) == (1, "", f"malformed ordering {order!r}\n")
+
+    def test_empty_order_of_empty_instance(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "v.json", 0, [], [])
+        code, out, _ = run_cli(["verify", "--input", str(path), "--order", ""], capsys)
+        assert (code, out) == (0, "cost=0 valid=true\n")
 
     def test_cost_agreement_with_solve(self, tmp_path, capsys):
         path = write_instance(tmp_path, "v.json", 4, [4, 1, 3, 2], [[0, 2]])
@@ -291,6 +315,13 @@ class TestBench:
             cells = line.split(",")
             costs.setdefault(cells[0], set()).add(cells[4])
         assert all(len(v) == 1 for v in costs.values())
+
+    def test_negative_wq_cap_exit_1(self, tmp_path, capsys):
+        d = self._populate(tmp_path)
+        code, out, err = run_cli(
+            ["bench", "--dir", str(d), "--algos", "full", "--wq-cap", "-4"], capsys
+        )
+        assert (code, out, err) == (1, "", "--wq-cap must be at least 0, got -4\n")
 
     def test_chain_state_counts(self, tmp_path, capsys):
         d = tmp_path / "inst"

@@ -12,23 +12,6 @@ from conftest import all_subset_ideals, mask, random_instance
 
 
 class TestSetPrimitives:
-    def test_max_elements_chain(self):
-        inst = sx.transitive_closure([(0, 1), (1, 2)], 3)
-        assert sx.max_elements(inst, mask(0, 1, 2)) == mask(2)
-
-    def test_max_elements_antichain_identity(self):
-        inst = sx.build_instance([1] * 4, [])
-        for x in (0b1010, 0b0111, 0b1111):
-            assert sx.max_elements(inst, x) == x
-
-    def test_max_elements_two_minima(self):
-        inst = sx.transitive_closure([(0, 2), (1, 2)], 3)
-        assert sx.max_elements(inst, mask(0, 1)) == mask(0, 1)
-
-    def test_min_elements_mirror(self):
-        inst = sx.transitive_closure([(0, 1), (1, 2)], 3)
-        assert sx.min_elements(inst, mask(0, 1, 2)) == mask(0)
-
     def test_downward_closed(self):
         inst = sx.transitive_closure([(0, 1)], 2)
         assert sx.is_downward_closed(inst, 0)

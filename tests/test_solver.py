@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -466,7 +467,8 @@ class TestSolve:
 
     def test_branch_cover_consistent_branch_exists(self):
         # the enumeration yields the branch matching the optimum's placements
-        for seed in (2, 5, 9):
+        # (seeds 5 and 11 force a job into a half, 6 and 10 bar one from A)
+        for seed in (2, 5, 6, 9, 10, 11):
             inst = random_instance(seed, 6, 0.25)
             norm = sx.normalize(inst)
             base = norm.base
@@ -482,11 +484,30 @@ class TestSolve:
             ctx = sx.consistent_context(vinst, vb, ve, res.matched, vo)
             members = sorted(set(_bits(ctx.m_set)))
             target = tuple((vo.positions[v] - 1) // (vinst.n // 4) for v in members)
-            found = any(
-                qa.quarters == target
+            found = [
+                qa
                 for qa in sx.enumerate_quarter_assignments(vinst, members, vb, ve)
+                if qa.quarters == target
+            ]
+            assert len(found) == 1
+            # ... and the search's constructors build consistent_context's branch
+            # from it, up to the counts and windows only the ordering knows
+            qa = found[0]
+            m_ab, m_cd = qa.half_masks()
+            ctx_half = solver._half_split(vinst, ctx.m_set, m_ab, m_cd)
+            w_half_q = [0, 0, 0, 0]
+            for v in _bits(ctx_half.whalf_ab | ctx_half.whalf_cd):
+                w_half_q[(vo.positions[v] - 1) // (vinst.n // 4)] |= 1 << v
+            w_half_q = tuple(w_half_q)
+            m_quarter_of = dict(zip(qa.members, qa.quarters))
+            assert w_half_q in set(
+                _w_refinements(vinst, ctx_half.whalf_ab, ctx_half.whalf_cd, m_quarter_of)
             )
-            assert found
+            built = solver._refine(vinst, ctx_half, qa.masks(), w_half_q)
+            for f in fields(sx.BranchContext):
+                if f.name not in ("p_counts", "wq_b", "wq_c"):
+                    assert getattr(built, f.name) == getattr(ctx, f.name), (seed, f.name)
+            assert built.p_counts[0::3] == ctx.p_counts[0::3]
 
     def test_dispatch_soundness_branch_results_upper_bound(self):
         # every strategy result on any consistent-or-not branch is a real
@@ -529,6 +550,11 @@ class TestSolve:
         bo, bc = sx.brute_force_optimal(inst)
         o, c, rep = sx.solve(inst, EpsilonConfig.make(0.45, 0.46, 0.47, 0.48), wq_cap=0)
         assert c == bc
+
+    def test_negative_wq_cap_rejected(self):
+        inst = random_instance(8, 6, 0.0)
+        with pytest.raises(ValueError, match="wq_cap must be at least 0, got -3"):
+            sx.solve(inst, wq_cap=-3)
 
 
 def _forced_instances():
