@@ -1,10 +1,10 @@
 """Command-line surface: solve, verify, gen, count, bench.
 
 Exit codes: 0 success, 1 malformed input or flags (a negative --wq-cap
-included), or an instance above the brute-force cap (solve, bench) or the
-ideal-counting cap (count), 2 infeasible or cyclic instance, 3 invalid
-ordering (verify), 4 violated counting bound (count), 5 cost mismatch
-between algorithms (bench).
+or --cap included), or an instance above the brute-force cap (solve,
+bench) or the ideal-counting cap (count), 2 infeasible or cyclic instance,
+3 invalid ordering (verify), 4 violated counting bound (count), 5 cost
+mismatch between algorithms (bench).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from math import factorial
 from pathlib import Path
 
 # is_downward_closed is unused here but stays importable: perfbench/spans.py
@@ -72,10 +73,11 @@ def _load(path: str) -> Instance:
 
 def _config_from_args(args) -> EpsilonConfig | None:
     """The eps config of the solver flags; exits 1 on a bad config or a
-    negative --wq-cap."""
-    if args.wq_cap < 0:
-        print(f"--wq-cap must be at least 0, got {args.wq_cap}", file=sys.stderr)
-        raise SystemExit(1)
+    negative --wq-cap or --cap."""
+    for flag, value in (("--wq-cap", args.wq_cap), ("--cap", args.cap)):
+        if value < 0:
+            print(f"{flag} must be at least 0, got {value}", file=sys.stderr)
+            raise SystemExit(1)
     eps = (args.eps1, args.eps2, args.eps3, args.eps4)
     if all(e is None for e in eps):
         return None
@@ -224,9 +226,11 @@ def cmd_bench(args) -> int:
     for path in sorted(p for p in directory.iterdir() if p.suffix == ".json"):
         inst = _load(str(path))
         loaded.append((path.name, inst, greedy_maximal_matching(comparability_graph(inst)).num_pairs))
-    # Algo-major, so the few long brute tasks (brute is listed first in the
-    # usual --algos) start before the many short ones.
     tasks = [(name, inst, pairs, a) for a in algos for name, inst, pairs in loaded]
+    # Longest first, so that no long task starts last: brute's tasks by their
+    # n!/2^k linear extensions (k matched pairs; 2^k divides n! as k <= n/2),
+    # then the others algo-major. The sort is stable: ties stay in name order.
+    tasks.sort(key=lambda t: -(factorial(t[1].n) >> t[2]) if t[3] == "brute" else 0)
     run = partial(_bench_one, config=config, cap=args.cap, wq_cap=args.wq_cap, timing=not args.no_timing)
 
     # The default start method on Linux, fork, starts every worker at once,
@@ -266,7 +270,7 @@ def _add_eps_flags(p: argparse.ArgumentParser) -> None:
     for i in (1, 2, 3, 4):
         p.add_argument(f"--eps{i}", default=None, help=f"dispatch threshold eps{i} (exact rational or decimal)")
     p.add_argument("--wq-cap", type=int, default=3, help="max size of a guessed quarter-window set, at least 0")
-    p.add_argument("--cap", type=int, default=12, help="brute-force enumeration cap")
+    p.add_argument("--cap", type=int, default=12, help="brute-force enumeration cap, at least 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,14 +5,16 @@ no memoization, no pruning beyond precedence feasibility, and nothing
 imported from the DP, solver or decomposition layers. The DFS picks the
 next job in increasing index order, so enumeration order and tie breaks
 are deterministic. `brute_force_optimal` costs every linear extension on
-the same walk as `linear_extensions`, which stays the plain reference.
+the same walk as `linear_extensions`, which stays the plain reference; it
+closes each leaf three jobs from the end, costing the last two jobs in
+each order their precedence allows without a further call.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .instance import Instance, Ordering
+from .instance import Instance, Ordering, ordering_cost
 
 
 class InstanceTooLarge(ValueError):
@@ -67,9 +69,11 @@ def brute_force_optimal(inst: Instance, cap: int = 12) -> tuple[Ordering, int]:
     """Exact optimum by exhaustive search; ties go to the first sequence found."""
     n = inst.n
     _check_cap(n, cap)
+    if n < 3:
+        # The walk below closes its leaves three jobs from the end. min keeps
+        # the first of equal minima, as the walk does.
+        return min(((o, ordering_cost(inst, o)) for o in linear_extensions(inst)), key=lambda oc: oc[1])
     times = inst.times
-    if n < 2:  # the walk below closes its leaves two jobs from the end
-        return Ordering.from_sequence(range(n)), sum(times)
     full = inst.full_mask
     pred = inst.pred_masks
     # No successor of v is placed before v, so placing v only has to look at
@@ -83,25 +87,35 @@ def brute_force_optimal(inst: Instance, cap: int = 12) -> tuple[Ordering, int]:
             s ^= sb
             pairs.append((sb, pred[sb.bit_length() - 1]))
         unlocks.append(tuple(pairs))
-    best_cost: int | None = None
+    # Above every schedule's cost (each of n completions is at most the sum
+    # of times), so the first leaf always becomes the best one.
+    best_cost = n * sum(times) + 1
     best_seq: tuple[int, ...] = ()
     prefix: list[int] = []
 
     def walk(placed: int, ready: int, coeff: int, cost: int) -> None:
         nonlocal best_cost, best_seq
         m = ready
-        if coeff == 2:
-            # After the next job one is left, the last of the sequence: close
-            # the leaf here rather than in one more call.
+        if coeff == 3:
+            # After the next job v two are left, x < y: cost each order the
+            # precedence allows here rather than in two more calls. With every
+            # other job placed, x is ready after v unless y precedes it.
             while m:
                 b = m & -m
                 m ^= b
                 v = b.bit_length() - 1
-                u = (full ^ placed ^ b).bit_length() - 1
-                leaf = cost + 2 * times[v] + times[u]
-                if best_cost is None or leaf < best_cost:
-                    best_cost = leaf
-                    best_seq = (*prefix, v, u)
+                rest = full ^ placed ^ b
+                xb = rest & -rest
+                yb = rest ^ xb
+                x = xb.bit_length() - 1
+                y = yb.bit_length() - 1
+                head = cost + 3 * times[v] + times[x] + times[y]
+                if not pred[x] & yb and head + times[x] < best_cost:
+                    best_cost = head + times[x]
+                    best_seq = (*prefix, v, x, y)
+                if not pred[y] & xb and head + times[y] < best_cost:
+                    best_cost = head + times[y]
+                    best_seq = (*prefix, v, y, x)
             return
         while m:
             b = m & -m
@@ -121,6 +135,4 @@ def brute_force_optimal(inst: Instance, cap: int = 12) -> tuple[Ordering, int]:
         if pred[v] == 0:
             ready0 |= 1 << v
     walk(0, ready0, n, 0)
-    if best_cost is None:
-        raise AssertionError("a finite poset always has a linear extension")
     return Ordering.from_sequence(best_seq), best_cost

@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional
 
@@ -487,20 +488,26 @@ def _relaxed_bound(inst: Instance, n: int, groups) -> int:
     smallest coefficients available there never exceeds the group's true
     contribution. Relaxes all precedence and all cross-group collisions.
     """
-    bounds = quarter_bounds(n)
     times = inst.times
     total = 0
     for jobs_mask, quarters in groups:
         if not jobs_mask:
             continue
         ts = sorted([times[v] for v in bits(jobs_mask)], reverse=True)
-        coeffs: list[int] = []
-        for g in quarters:
-            lo, hi = bounds[g]
-            coeffs.extend(range(n - hi + 1, n - lo + 1))
-        coeffs.sort()
-        total += sum(c * t for c, t in zip(coeffs, ts))
+        total += sum(c * t for c, t in zip(_coefficients(n, quarters), ts))
     return total
+
+
+@lru_cache(maxsize=256)
+def _coefficients(n: int, quarters: tuple[int, ...]) -> tuple[int, ...]:
+    """The completion-time coefficients of the positions in the given
+    quarters of an n-job schedule, smallest first."""
+    bounds = quarter_bounds(n)
+    coeffs: list[int] = []
+    for g in quarters:
+        lo, hi = bounds[g]
+        coeffs.extend(range(n - hi + 1, n - lo + 1))
+    return tuple(sorted(coeffs))
 
 
 def solve_independent_case(inst: Instance, ctx: BranchContext, memos=None):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,14 @@ class TestSolve:
             ["solve", "--input", str(path), "--algo", algo, "--wq-cap", "-4"], capsys
         )
         assert (code, out, err) == (1, "", "--wq-cap must be at least 0, got -4\n")
+
+    @pytest.mark.parametrize("algo", ["brute", "dp", "dcdp", "full"])
+    def test_negative_cap_exit_1(self, tmp_path, capsys, algo):
+        path = write_instance(tmp_path, "c.json", 3, [1, 2, 3], [])
+        code, out, err = run_cli(
+            ["solve", "--input", str(path), "--algo", algo, "--cap", "-1"], capsys
+        )
+        assert (code, out, err) == (1, "", "--cap must be at least 0, got -1\n")
 
     def test_zero_wq_cap_accepted(self, tmp_path, capsys):
         path = write_instance(tmp_path, "c.json", 2, [1, 1], [])
@@ -323,6 +332,14 @@ class TestBench:
         )
         assert (code, out, err) == (1, "", "--wq-cap must be at least 0, got -4\n")
 
+    @pytest.mark.parametrize("algos", ["brute", "dp", "brute,dp,dcdp,full"])
+    def test_negative_cap_exit_1(self, tmp_path, capsys, algos):
+        d = self._populate(tmp_path)
+        code, out, err = run_cli(
+            ["bench", "--dir", str(d), "--algos", algos, "--cap", "-1"], capsys
+        )
+        assert (code, out, err) == (1, "", "--cap must be at least 0, got -1\n")
+
     def test_chain_state_counts(self, tmp_path, capsys):
         d = tmp_path / "inst"
         d.mkdir()
@@ -400,16 +417,23 @@ class TestBenchWorkers:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
+    def pool_tasks(self):
+        return []
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch, pool_tasks):
         sizes = []
 
         class RecordingExecutor:
-            # records the pool's size and runs the tasks here, forking nothing
+            # records the pool's size and the tasks in the order they are
+            # submitted, and runs them here, forking nothing
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def map(self, fn, iterable):
-                return map(fn, iterable)
+                tasks = list(iterable)
+                pool_tasks.extend(tasks)
+                return map(fn, tasks)
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -471,6 +495,57 @@ class TestBenchWorkers:
         assert code == 1
         assert out == ""
         assert err == "instance too large for brute: n=13 exceeds enumeration cap 12\n"
+
+    @pytest.mark.parametrize("algos", ["brute,dp,dcdp,full", "dp,brute", "dp,dcdp", "brute"])
+    def test_longest_brute_tasks_first(self, tmp_path, capsys, two_cpus, pool_sizes, pool_tasks, algos):
+        d = tmp_path / "inst"
+        d.mkdir()
+        # (name, n, precedences): brute's work n!/2^k, k the matching size
+        for name, n, prec in [
+            ("a.json", 3, []),  # 3! = 6
+            ("b.json", 4, [[0, 1]]),  # 4!/2 = 12
+            ("c.json", 4, []),  # 4! = 24
+            ("d.json", 3, []),  # 6, ties with a
+            ("e.json", 4, [[0, 1], [2, 3]]),  # 4!/4 = 6, ties with a and d
+        ]:
+            write_instance(d, name, n, list(range(1, n + 1)), prec)
+        code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", algos, "--jobs", "2"], capsys)
+        assert code == 0
+        names = ["a.json", "b.json", "c.json", "d.json", "e.json"]
+        listed = algos.split(",")
+        expected = [(name, "brute") for name in ["c.json", "b.json", "a.json", "d.json", "e.json"]
+                    if "brute" in listed]
+        expected += [(name, a) for a in listed if a != "brute" for name in names]
+        assert [(t[0], t[3]) for t in pool_tasks] == expected
+
+    @pytest.mark.parametrize("algos", ["brute,dp,dcdp,full", "dp,brute"])
+    def test_golden_directory_brute_order(self, tmp_path, capsys, two_cpus, pool_sizes, pool_tasks, algos):
+        d = tmp_path / "golden"
+        d.mkdir()
+        write_instances(d)
+        out = tmp_path / "bench.csv"
+        code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", algos, "--no-timing",
+                              "--jobs", "2", "--out", str(out)], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        work = {r[0]: factorial(int(r[1])) // 2 ** int(r[2]) for r in rows if r[3] == "brute"}
+        assert [t[0] for t in pool_tasks[:len(work)]] == sorted(work, key=lambda name: (-work[name], name))
+        assert {t[3] for t in pool_tasks[:len(work)]} == {"brute"}
+        assert "brute" not in {t[3] for t in pool_tasks[len(work):]}
+
+    def test_golden_directory_same_bytes_brute_listed_last(self, tmp_path, capsys, two_cpus):
+        d = tmp_path / "golden"
+        d.mkdir()
+        write_instances(d)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            code, _, _ = run_cli(["bench", "--dir", str(d), "--algos", "dp,brute",
+                                  "--no-timing", "--jobs", jobs, "--out", str(out)], capsys)
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 27 * 2
 
     @pytest.mark.parametrize("jobs,cpus,expected", [
         (64, 8, 6),  # no more workers than tasks

@@ -1,7 +1,12 @@
+import ast
+import inspect
+import sys
+from itertools import combinations, permutations
+
 import pytest
 
 import schedexact as sx
-from schedexact import InstanceTooLarge, Ordering
+from schedexact import CyclicPrecedence, InstanceTooLarge, Ordering, oracle
 from schedexact.gen import MODELS, generate, to_instance
 
 from conftest import count_extensions_by_ideal_recursion, random_instance
@@ -116,3 +121,58 @@ def first_minimum(inst):
 def test_brute_is_first_minimum_over_extensions(model, n, density, tmax):
     inst = to_instance(generate(model, n, density, tmax, seed=100 * n + tmax))
     assert sx.brute_force_optimal(inst) == first_minimum(inst)
+
+
+def labelled_dags(n):
+    """Every acyclic relation on n labelled jobs, as an edge list."""
+    pairs = list(permutations(range(n), 2))
+    for k in range(len(pairs) + 1):
+        for edges in combinations(pairs, k):
+            try:
+                sx.build_instance([0] * n, edges)
+            except CyclicPrecedence:
+                continue
+            yield edges
+
+
+TIME_PATTERNS = {
+    "equal": lambda n: [2] * n,
+    "increasing": lambda n: list(range(1, n + 1)),
+    "decreasing": lambda n: list(range(n, 0, -1)),
+    "one-tie": lambda n: [1, 3, 3, 2][:n],
+}
+
+
+@pytest.mark.parametrize("pattern", TIME_PATTERNS)
+@pytest.mark.parametrize("n,dag_count", [(0, 1), (1, 1), (2, 3), (3, 25), (4, 543)])
+def test_brute_is_first_minimum_on_every_small_dag(n, dag_count, pattern):
+    times = TIME_PATTERNS[pattern](n)
+    seen = 0
+    for edges in labelled_dags(n):
+        inst = sx.build_instance(times, edges)
+        assert sx.brute_force_optimal(inst) == first_minimum(inst), edges
+        seen += 1
+    assert seen == dag_count  # the labelled DAG counts (OEIS A003024)
+
+
+# The size cli-bench runs brute at, with enough precedence to keep the
+# reference walk short.
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("density,tmax", [(0.4, 1), (0.4, 20), (0.7, 20)])
+def test_brute_is_first_minimum_at_n9(model, density, tmax):
+    inst = to_instance(generate(model, 9, density, tmax, seed=900 + tmax))
+    assert sx.brute_force_optimal(inst) == first_minimum(inst)
+
+
+def test_oracle_imports_only_instance_and_stdlib():
+    # brute stays an independent check: nothing from the DP, solver or
+    # decomposition layers may reach it
+    tree = ast.parse(inspect.getsource(oracle))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "instance"), ast.dump(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
