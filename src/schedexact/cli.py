@@ -5,15 +5,23 @@ or --cap included), or an instance above the brute-force cap (solve,
 bench) or the ideal-counting cap (count), 2 infeasible or cyclic instance,
 3 invalid ordering (verify), 4 violated counting bound (count), 5 cost
 mismatch between algorithms (bench).
+
+`solve` prints each dispatch warning of its thresholds, and a line when a
+quarter-window guess exceeded --wq-cap, to stderr as `warning: ...`.
+
+`bench --jobs N` runs its (file, algo) tasks on at most N workers: the
+calling process is one of them and forks the others. Each worker claims
+the next task in turn; a failure in any worker stops further claims, and
+the failure first in task order is reported.
 """
 
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from math import factorial
 from pathlib import Path
@@ -34,7 +42,7 @@ from .instance import (
     validate_ordering,
 )
 from .oracle import InstanceTooLarge, brute_force_optimal
-from .solver import EpsilonConfig, solve
+from .solver import EpsilonConfig, SolveReport, solve
 from .structure import (
     comparability_graph,
     count_order_ideals,
@@ -112,6 +120,15 @@ def cmd_solve(args) -> int:
     ordering, cost, _, chosen, extra = result
     order_str = ",".join(str(p - 1) for p in ordering.positions)
     print(f"cost={cost} order={order_str}")
+    if isinstance(extra, SolveReport):
+        for warning in extra.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        if extra.wq_cap_hit:
+            print(
+                f"warning: a quarter-window set needed more than --wq-cap={args.wq_cap} jobs;"
+                " its subcase ran the dcdp fallback",
+                file=sys.stderr,
+            )
     if args.stats:
         # extra is a SolveReport or a DpStats; both write their own CSV row.
         with open(args.stats, "w", encoding="utf-8") as fh:
@@ -197,13 +214,78 @@ def cmd_count(args) -> int:
 
 
 def _bench_one(task: tuple[str, Instance, int, str], *, config, cap: int, wq_cap: int, timing: bool):
-    """One CSV row; module level, so a worker process can unpickle it."""
+    """One CSV row: (name, algo, cost, row)."""
     name, inst, pairs, algo = task
     t0 = time.perf_counter()
     ordering, cost, states, chosen, _ = _run_algo(inst, algo, config, cap, wq_cap)
     wall = (time.perf_counter() - t0) * 1000 if timing else 0.0
     row = f"{name},{inst.n},{pairs},{algo},{cost},{states},{wall:.3f},{chosen}"
     return name, algo, cost, row
+
+
+def _run_tasks(run, tasks: list, workers: int) -> list:
+    """[run(t) for t in tasks], on this process and workers - 1 forked helpers.
+
+    Every process claims the next task index from one shared counter, so the
+    tasks start in list order. The helpers see the tasks through fork memory
+    and send their (index, result) pairs back in one message each. A process
+    stops at its first failing task and pushes the counter past the end, so
+    no process claims another. Once every helper has exited, the failure with
+    the lowest index is re-raised: every task before it was claimed, so it is
+    the first failure of the list, as in a serial run. A helper that exits
+    without reporting raises ChildProcessError.
+    """
+    ctx = multiprocessing.get_context("fork")
+    next_index = ctx.Value("i", 0)
+
+    def claim_and_run():
+        done = []
+        while True:
+            with next_index.get_lock():
+                i = next_index.value
+                next_index.value = i + 1
+            if i >= len(tasks):
+                return done
+            try:
+                done.append((i, run(tasks[i])))
+            except Exception as exc:
+                next_index.value = len(tasks)
+                done.append((i, exc))
+                return done
+
+    def helper(sender):
+        sender.send(claim_and_run())
+
+    results = []
+    helpers = []
+    silent = []
+    try:
+        for _ in range(workers - 1):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=helper, args=(sender,))
+            proc.start()
+            # Only the helper holds the sending end, so its exit ends recv().
+            sender.close()
+            helpers.append((proc, receiver))
+        results += claim_and_run()
+    finally:
+        next_index.value = len(tasks)
+        for proc, receiver in helpers:
+            # recv() before join(): a helper whose message outgrows the pipe
+            # cannot exit until it is read.
+            with receiver:
+                try:
+                    results += receiver.recv()
+                except EOFError:
+                    silent.append(proc)
+            proc.join()
+    if silent:
+        raise ChildProcessError(f"a bench worker exited with code {silent[0].exitcode} without reporting")
+    results.sort(key=lambda r: r[0])
+    for _, result in results:
+        if isinstance(result, Exception):
+            raise result
+    return [result for _, result in results]
 
 
 def cmd_bench(args) -> int:
@@ -233,20 +315,10 @@ def cmd_bench(args) -> int:
     tasks.sort(key=lambda t: -(factorial(t[1].n) >> t[2]) if t[3] == "brute" else 0)
     run = partial(_bench_one, config=config, cap=args.cap, wq_cap=args.wq_cap, timing=not args.no_timing)
 
-    # The default start method on Linux, fork, starts every worker at once,
-    # so their number is bounded here. (Spawn would re-import the package in
-    # each worker, which costs more than a typical bench run.)
+    # Helpers are forked, not spawned: spawn would re-import the package and
+    # pickle every instance, which costs more than a typical bench run.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            # A worker's exception, InstanceTooLarge from brute, is re-raised
-            # here when its result is read.
-            results = list(pool.map(run, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        results = list(map(run, tasks))
+    results = _run_tasks(run, tasks, workers) if workers > 1 else list(map(run, tasks))
 
     results.sort(key=lambda r: (r[0], r[1]))
     lines = [BENCH_HEADER] + [r[3] for r in results]
@@ -310,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes, at least 1, capped by the tasks and the CPUs (1: run in this process)",
+        help="worker processes, at least 1, capped by the tasks and the CPUs; this process is one of"
+        " them and forks the others (1: run in this process)",
     )
     p.add_argument("--no-timing", action="store_true", help="report wall_ms as 0 for reproducible output")
     _add_eps_flags(p)

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 from math import factorial
@@ -116,6 +119,50 @@ class TestSolve:
         )
         assert code == 0
         assert out.startswith("cost=20 ")
+
+    def test_eps_flags_print_every_warning(self, tmp_path, capsys):
+        # the thresholds of test_eps_flags break all four dispatch premises
+        path = write_instance(tmp_path, "c.json", 4, [1, 2, 3, 4], [])
+        code, out, err = run_cli(
+            ["solve", "--input", str(path), "--eps1", "0.2", "--eps2", "0.22",
+             "--eps3", "0.24", "--eps4", "0.26"],
+            capsys,
+        )
+        assert (code, out) == (0, "cost=20 order=0,1,2,3\n")
+        assert err == (
+            "warning: eps4=13/50 is not below 1/4\n"
+            "warning: 2*eps1 < 1/4 + eps3/2 fails; the size-based quarter dispatch may not cover\n"
+            "warning: eps4 > (2*eps1 + 2*eps2 + eps3)/2 fails; the count-based quarter dispatch"
+            " may not cover\n"
+            "warning: 2*eps1 + 2*eps2 + eps4 < 1/4 fails; the independent split may exceed its budget\n"
+        )
+
+    @pytest.mark.parametrize("algo", ["brute", "dp", "dcdp", "full"])
+    def test_default_solve_prints_nothing_to_stderr(self, tmp_path, capsys, algo):
+        path = write_instance(tmp_path, "c.json", 4, [1, 2, 3, 4], [[0, 2]])
+        code, out, err = run_cli(["solve", "--input", str(path), "--algo", algo], capsys)
+        assert code == 0
+        assert out.startswith("cost=")
+        assert err == ""
+
+    @pytest.mark.parametrize("wq_cap,hit", [("0", True), ("3", False)])
+    def test_wq_cap_hit_warning(self, tmp_path, capsys, wq_cap, hit):
+        # on this instance a forced quarter-window guess needs one job
+        path = tmp_path / "dag.json"
+        assert main(["gen", "--n", "6", "--model", "random-dag", "--density", "0",
+                     "--seed", "0", "--out", str(path)]) == 0
+        forced = ["--eps1", "0.3", "--eps2", "0.3", "--eps3", "0.3", "--eps4", "0.3"]
+        code, out, err = run_cli(["solve", "--input", str(path), "--wq-cap", wq_cap] + forced, capsys)
+        _, default_out, _ = run_cli(["solve", "--input", str(path)], capsys)
+        assert (code, out) == (0, default_out)
+        lines = err.splitlines()
+        assert len(lines) == 4 + hit
+        assert all(line.startswith("warning: ") for line in lines)
+        wq_line = (
+            f"warning: a quarter-window set needed more than --wq-cap={wq_cap} jobs;"
+            " its subcase ran the dcdp fallback"
+        )
+        assert (wq_line in lines) == hit
 
     def test_bad_eps_exit_1(self, tmp_path, capsys):
         path = write_instance(tmp_path, "c.json", 2, [1, 1], [])
@@ -424,21 +471,14 @@ class TestBenchWorkers:
     def pool_sizes(self, monkeypatch, pool_tasks):
         sizes = []
 
-        class RecordingExecutor:
-            # records the pool's size and the tasks in the order they are
-            # submitted, and runs them here, forking nothing
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_run_tasks(run, tasks, workers):
+            # records the worker count and the tasks in the order the workers
+            # claim them (list order), and runs them here, forking nothing
+            sizes.append(workers)
+            pool_tasks.extend(tasks)
+            return [run(t) for t in tasks]
 
-            def map(self, fn, iterable):
-                tasks = list(iterable)
-                pool_tasks.extend(tasks)
-                return map(fn, tasks)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli, "_run_tasks", recording_run_tasks)
         return sizes
 
     def _populate(self, tmp_path, count):
@@ -568,6 +608,92 @@ class TestBenchWorkers:
         assert pool_sizes == []
 
 
+class TestBenchForkedHelpers:
+    """bench --jobs 3 on three CPUs: this process and two forked helpers."""
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+
+        def expire(signum, frame):
+            raise TimeoutError("bench did not finish within 60 s")
+
+        # A hung bench fails the test instead of stalling the suite; forked
+        # helpers do not inherit the alarm.
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture
+    def started(self):
+        # set by the side that should claim a task first; fork shares it
+        return multiprocessing.get_context("fork").Event()
+
+    def _populate(self, tmp_path, count):
+        d = tmp_path / "inst"
+        d.mkdir()
+        for i in range(count):
+            write_instance(d, f"{i}.json", 3, [1, 2, 3], [])
+        return d
+
+    def test_golden_directory_same_bytes(self, tmp_path, capsys):
+        d = tmp_path / "golden"
+        d.mkdir()
+        write_instances(d)
+        outs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            code, _, err = run_cli(["bench", "--dir", str(d), "--algos", "brute,dp,dcdp,full",
+                                    "--no-timing", "--jobs", jobs, "--out", str(out)], capsys)
+            assert (code, err) == (0, "")
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 27 * 4
+
+    @pytest.mark.parametrize("failing", ["parent", "helpers"])
+    def test_brute_over_cap_one_message(self, tmp_path, capfd, monkeypatch, started, failing):
+        # The failing side runs brute with its cap below n = 3; the other side
+        # waits until the failing side has started a task, so both claim one.
+        d = self._populate(tmp_path, 4)
+        parent = os.getpid()
+        bench_one = cli._bench_one
+
+        def one_side_over_cap(task, **kwargs):
+            if (os.getpid() == parent) == (failing == "parent"):
+                started.set()
+                kwargs["cap"] = 2
+            else:
+                started.wait(30)
+            return bench_one(task, **kwargs)
+
+        monkeypatch.setattr(cli, "_bench_one", one_side_over_cap)
+        code = main(["bench", "--dir", str(d), "--algos", "brute,dp", "--jobs", "3"])
+        out, err = capfd.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "instance too large for brute: n=3 exceeds enumeration cap 2\n"
+
+    def test_helper_exit_fails_bench(self, tmp_path, monkeypatch, started):
+        d = self._populate(tmp_path, 4)
+        parent = os.getpid()
+        bench_one = cli._bench_one
+
+        def exit_in_helper(task, **kwargs):
+            if os.getpid() != parent:
+                started.set()
+                os._exit(3)
+            started.wait(30)
+            return bench_one(task, **kwargs)
+
+        monkeypatch.setattr(cli, "_bench_one", exit_in_helper)
+        with pytest.raises(ChildProcessError, match="exited with code 3 without reporting"):
+            main(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", "3"])
+
+
 FORCED = EpsilonConfig.make("0.3", "0.3", "0.3", "0.3")
 
 
@@ -594,6 +720,17 @@ class TestRunAlgoDifferential:
 
 
 class TestEntryPoint:
+    def test_package_import_loads_no_cli_or_processes(self):
+        # Keeps the command line and the process machinery out of the import
+        # that every library caller pays for.
+        loaded = ["schedexact.cli", "multiprocessing", "concurrent.futures"]
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import schedexact, sys; print([m for m in {loaded!r} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     def test_module_invocation(self, tmp_path):
         path = write_instance(tmp_path, "c.json", 3, [4, 3, 2], [[0, 1], [1, 2]])
         proc = subprocess.run(

@@ -5,8 +5,9 @@ chosen path of every algo on 27 generated instances, once with the default
 dispatch thresholds and once with all four at 0.3. Both runs reach the
 plain DP and the forced run also wins with the labeled quarter DP and the
 independent split, so a drift in any of them shows up here byte for byte.
-Each CSV is checked in-process (--jobs 1) and through two worker processes
-(--jobs 2), which receive the instances the parent loaded, pickled.
+Each CSV is checked in-process (--jobs 1) and on two workers (--jobs 2):
+the calling process and one forked helper, which sees the instances the
+parent loaded through fork memory.
 
 tests/data/solve_reports.jsonl pins, per solve() call, the ordering and the
 whole report but its wall time, so the branch and prune counts of every
