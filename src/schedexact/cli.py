@@ -8,6 +8,9 @@ mismatch between algorithms (bench).
 
 `solve` prints each dispatch warning of its thresholds, and a line when a
 quarter-window guess exceeded --wq-cap, to stderr as `warning: ...`.
+`bench` with `full` among its algos prints the dispatch warnings once per
+run, and the --wq-cap line once per `full` task that hit it, prefixed by
+the instance's file name.
 
 `bench --jobs N` runs its (file, algo) tasks on at most N workers: the
 calling process is one of them and forks the others. Each worker claims
@@ -26,6 +29,9 @@ from functools import partial
 from math import factorial
 from pathlib import Path
 
+# Loaded here, not on the first `full` task: bench forks its helpers after
+# this import, so none of them compiles the paper route again.
+from . import paper  # noqa: F401
 # is_downward_closed is unused here but stays importable: perfbench/spans.py
 # wraps it by this module's name.
 from .dp import DpStats, is_downward_closed, solve_filtered  # noqa: F401
@@ -34,6 +40,7 @@ from .gen import MODELS, generate
 from .instance import (
     CyclicPrecedence,
     Instance,
+    InstanceTooLarge,
     NotABijection,
     Ordering,
     instance_from_json,
@@ -41,7 +48,7 @@ from .instance import (
     ordering_cost,
     validate_ordering,
 )
-from .oracle import InstanceTooLarge, brute_force_optimal
+from .oracle import brute_force_optimal
 from .solver import EpsilonConfig, SolveReport, solve
 from .structure import (
     comparability_graph,
@@ -113,6 +120,10 @@ def _run_algo(inst: Instance, algo: str, config: EpsilonConfig | None, cap: int,
     return ordering, cost, report.stats_total.states_expanded, report.chosen_path, report
 
 
+def _wq_cap_message(wq_cap: int) -> str:
+    return f"a quarter-window set needed more than --wq-cap={wq_cap} jobs; its subcase ran the dcdp fallback"
+
+
 def cmd_solve(args) -> int:
     inst = _load(args.input)
     config = _config_from_args(args)
@@ -124,11 +135,7 @@ def cmd_solve(args) -> int:
         for warning in extra.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if extra.wq_cap_hit:
-            print(
-                f"warning: a quarter-window set needed more than --wq-cap={args.wq_cap} jobs;"
-                " its subcase ran the dcdp fallback",
-                file=sys.stderr,
-            )
+            print(f"warning: {_wq_cap_message(args.wq_cap)}", file=sys.stderr)
     if args.stats:
         # extra is a SolveReport or a DpStats; both write their own CSV row.
         with open(args.stats, "w", encoding="utf-8") as fh:
@@ -214,13 +221,13 @@ def cmd_count(args) -> int:
 
 
 def _bench_one(task: tuple[str, Instance, int, str], *, config, cap: int, wq_cap: int, timing: bool):
-    """One CSV row: (name, algo, cost, row)."""
+    """One CSV row: (name, algo, cost, row, wq_cap_hit)."""
     name, inst, pairs, algo = task
     t0 = time.perf_counter()
-    ordering, cost, states, chosen, _ = _run_algo(inst, algo, config, cap, wq_cap)
+    ordering, cost, states, chosen, extra = _run_algo(inst, algo, config, cap, wq_cap)
     wall = (time.perf_counter() - t0) * 1000 if timing else 0.0
     row = f"{name},{inst.n},{pairs},{algo},{cost},{states},{wall:.3f},{chosen}"
-    return name, algo, cost, row
+    return name, algo, cost, row, isinstance(extra, SolveReport) and extra.wq_cap_hit
 
 
 def _run_tasks(run, tasks: list, workers: int) -> list:
@@ -302,6 +309,9 @@ def cmd_bench(args) -> int:
             print(f"unknown algorithm {a!r}", file=sys.stderr)
             return 1
     config = _config_from_args(args)
+    if "full" in algos:
+        for warning in (config or EpsilonConfig.default()).dispatch_warnings():
+            print(f"warning: {warning}", file=sys.stderr)
     # Every file is loaded and matched once, here and in name order, so the
     # first bad file ends the run before any task starts.
     loaded = []
@@ -329,8 +339,10 @@ def cmd_bench(args) -> int:
         sys.stdout.write(text)
 
     costs: dict[str, set[int]] = {}
-    for name, _, cost, _ in results:
+    for name, _, cost, _, wq_cap_hit in results:
         costs.setdefault(name, set()).add(cost)
+        if wq_cap_hit:
+            print(f"warning: {name}: {_wq_cap_message(args.wq_cap)}", file=sys.stderr)
     for name, seen in sorted(costs.items()):
         if len(seen) > 1:
             print(f"cost mismatch on {name}: {sorted(seen)}", file=sys.stderr)

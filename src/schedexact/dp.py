@@ -262,49 +262,3 @@ def solve_filtered_labeled(
     if best_total is None:
         raise Infeasible("no ordering survives the acceptance predicate")
     return Ordering.from_sequence(dp.sequence(full, best_lab)), best_total, dp.stats()
-
-
-def prefix_trace(ordering: Ordering) -> list[int]:
-    """The n + 1 prefix sets visited by the forward DP along this ordering."""
-    masks = [0]
-    x = 0
-    for v in ordering.sequence:
-        x |= 1 << v
-        masks.append(x)
-    return masks
-
-
-def suffix_trace(ordering: Ordering) -> list[int]:
-    """The n + 1 suffix sets visited by the reverse DP along this ordering."""
-    masks = [0]
-    x = 0
-    for v in reversed(ordering.sequence):
-        x |= 1 << v
-        masks.append(x)
-    return masks
-
-
-def labeled_trace(
-    ordering: Ordering,
-    label_domain: int,
-    freeze_size: int,
-    *,
-    reverse: bool = False,
-) -> list[tuple[int, int]]:
-    """(state, label) pairs traced by an ordering under the labeled transition.
-
-    Labels follow the structural rule: equal to state & label_domain up to
-    the freeze size, pinned beyond it.
-    """
-    states = suffix_trace(ordering) if reverse else prefix_trace(ordering)
-    out = []
-    frozen_lab: int | None = None
-    for x in states:
-        if x.bit_count() <= freeze_size:
-            lab = x & label_domain
-        else:
-            if frozen_lab is None:
-                frozen_lab = states[freeze_size] & label_domain
-            lab = frozen_lab
-        out.append((x, lab))
-    return out

@@ -55,6 +55,10 @@ class NotABijection(ValueError):
     pass
 
 
+class InstanceTooLarge(ValueError):
+    """An instance above the job cap of brute force or of ideal counting."""
+
+
 @dataclass(frozen=True)
 class Instance:
     """A transitively closed scheduling instance."""

@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .instance import Instance, Ordering, ordering_cost
-
-
-class InstanceTooLarge(ValueError):
-    pass
+from .instance import Instance, InstanceTooLarge, Ordering, ordering_cost
 
 
 def _check_cap(n: int, cap: int) -> None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance
-from .oracle import InstanceTooLarge
+from .instance import Instance, InstanceTooLarge
 
 
 @dataclass(frozen=True)

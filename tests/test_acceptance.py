@@ -15,10 +15,11 @@ import time
 import pytest
 
 import schedexact as sx
-from schedexact.dp import labeled_trace, prefix_trace
 from schedexact.gen import generate, to_instance
-from schedexact.solver import CASE_DELTA, half_case_filter, quarter_case_filter
+from schedexact.paper import CASE_DELTA, half_case_filter, quarter_case_filter
 from schedexact.structure import comparability_graph, greedy_maximal_matching
+
+from conftest import labeled_trace, prefix_trace
 
 CONFIG_DEFAULT = None
 CONFIG_FORCED = sx.EpsilonConfig.make(0.2, 0.22, 0.24, 0.26)

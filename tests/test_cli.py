@@ -14,9 +14,13 @@ from hypothesis import strategies as st
 from schedexact import build_instance, ordering_cost, validate_ordering
 from schedexact import cli
 from schedexact.cli import main
-from schedexact.solver import EpsilonConfig
+from schedexact.solver import EpsilonConfig, solve
 
 from test_golden import write_instances
+
+
+FORCED = EpsilonConfig.make("0.3", "0.3", "0.3", "0.3")
+FORCED_FLAGS = ["--eps1", "0.3", "--eps2", "0.3", "--eps3", "0.3", "--eps4", "0.3"]
 
 
 def run_cli(args, capsys):
@@ -455,6 +459,71 @@ class TestBench:
         assert seq.read_bytes() == par.read_bytes()
 
 
+class TestBenchWarnings:
+    """bench prints the dispatch warnings of `full` once per run and the
+    --wq-cap line once per `full` task that hit it; a default bench prints
+    nothing (TestBenchForkedHelpers.test_golden_directory_same_bytes)."""
+
+    DISPATCH = (
+        "warning: eps4=13/50 is not below 1/4",
+        "warning: 2*eps1 < 1/4 + eps3/2 fails; the size-based quarter dispatch may not cover",
+        "warning: eps4 > (2*eps1 + 2*eps2 + eps3)/2 fails; the count-based quarter dispatch may not cover",
+        "warning: 2*eps1 + 2*eps2 + eps4 < 1/4 fails; the independent split may exceed its budget",
+    )
+
+    @pytest.fixture
+    def golden(self, tmp_path, monkeypatch):
+        # two CPUs, so that --jobs 2 forks a helper on any machine
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        d = tmp_path / "golden"
+        d.mkdir()
+        write_instances(d)
+        return d
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_dispatch_warnings_once_per_run(self, tmp_path, capsys, golden, jobs):
+        code, _, err = run_cli(
+            ["bench", "--dir", str(golden), "--algos", "full", "--eps1", "0.2", "--eps2", "0.22",
+             "--eps3", "0.24", "--eps4", "0.26", "--no-timing", "--jobs", jobs,
+             "--out", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert err.splitlines() == list(self.DISPATCH)
+
+    def test_dispatch_warnings_only_with_full(self, tmp_path, capsys, golden):
+        code, _, err = run_cli(
+            ["bench", "--dir", str(golden), "--algos", "brute,dp,dcdp", "--eps4", "0.26",
+             "--no-timing", "--out", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_wq_cap_hit_names_each_file(self, tmp_path, capsys, golden, jobs):
+        # the flag of a task run by a forked helper travels back with its row
+        hits = [
+            path.name
+            for path in sorted(golden.iterdir())
+            if solve(cli._load(str(path)), FORCED, wq_cap=0)[2].wq_cap_hit
+        ]
+        assert len(hits) > 1
+        code, _, err = run_cli(
+            ["bench", "--dir", str(golden), "--algos", "dp,full", "--wq-cap", "0", "--no-timing",
+             "--jobs", jobs, "--out", str(tmp_path / "out.csv")] + FORCED_FLAGS,
+            capsys,
+        )
+        assert code == 0
+        lines = err.splitlines()
+        # the four dispatch warnings of the 0.3 thresholds come first
+        assert len(lines) == 4 + len(hits)
+        assert lines[4:] == [
+            f"warning: {name}: a quarter-window set needed more than --wq-cap=0 jobs;"
+            " its subcase ran the dcdp fallback"
+            for name in hits
+        ]
+
+
 class TestBenchWorkers:
     """bench --jobs N runs its tasks in worker processes."""
 
@@ -694,7 +763,6 @@ class TestBenchForkedHelpers:
             main(["bench", "--dir", str(d), "--algos", "dp,dcdp", "--jobs", "3"])
 
 
-FORCED = EpsilonConfig.make("0.3", "0.3", "0.3", "0.3")
 
 
 class TestRunAlgoDifferential:

@@ -6,9 +6,9 @@ import pytest
 
 import schedexact as sx
 from schedexact import Infeasible, Ordering
-from schedexact.dp import SubsetDP, labeled_trace, prefix_trace
+from schedexact.dp import SubsetDP
 
-from conftest import all_subset_ideals, mask, random_instance
+from conftest import all_subset_ideals, labeled_trace, mask, prefix_trace, random_instance
 
 
 class TestSetPrimitives:

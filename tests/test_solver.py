@@ -7,12 +7,12 @@ import pytest
 import schedexact as sx
 from schedexact import ContradictoryBranch, EpsilonConfig, Infeasible
 from schedexact import dp as dp_module
-from schedexact import solver
+from schedexact import paper
 from schedexact.gen import MODELS, generate, to_instance
-from schedexact.solver import QUARTER_NAMES, _w_refinements, quarter_case_filter
+from schedexact.paper import QUARTER_NAMES, _w_refinements, quarter_case_filter
 from schedexact.structure import comparability_graph, greedy_maximal_matching
 
-from conftest import mask, random_instance
+from conftest import labeled_trace, mask, random_instance
 
 
 class TestEpsilonConfig:
@@ -234,7 +234,7 @@ class TestQuarterCases:
             vinst, ctx, vo, vc = _consistent_setup(inst)
             o, c, _ = sx.solve_quarter_case(vinst, ctx, case)
             assert c == vc and o.positions == vo.positions
-            if ctx.p_sets[sx.solver.CASE_DELTA[case]]:
+            if ctx.p_sets[paper.CASE_DELTA[case]]:
                 hit += 1
         assert hit > 3
 
@@ -251,8 +251,6 @@ class TestQuarterCases:
         # crafted: domain jobs with distinct times sharing one successor, so
         # only time-sorted bottom sets survive past the freeze point; swapping
         # a scheduled cheap job for an unscheduled pricier one must be rejected
-        from schedexact.dp import labeled_trace
-
         inst = sx.build_instance([1, 2, 3, 4, 5, 6, 7, 20], [(i, 7) for i in range(4)])
         vinst, ctx, vo, vc = _consistent_setup(inst)
         acc, domain, freeze, target, reverse = quarter_case_filter(vinst, ctx, "A")
@@ -295,7 +293,7 @@ class TestIndependentCase:
     def test_quarter_restriction_consistency(self):
         # the optimum restricted to a quarter is optimal for that quarter's content
         from schedexact.dp import SubsetDP, subsets_of_size
-        from schedexact.solver import quarter_bounds
+        from schedexact.paper import quarter_bounds
 
         inst = sx.build_instance([3, 1, 4, 1, 5, 9, 2, 6], [(0, 5)])
         vinst, ctx, vo, vc = _consistent_setup(inst)
@@ -372,7 +370,7 @@ class TestPinnedCounts:
         # a second identical call adds no state but reports the full tables
         vinst, ctx, _, _ = _consistent_setup(sx.build_instance(*self.INSTANCES[name]))
         expanded, _, peak = self.PINNED[name][1]["independent"]
-        memos = sx.solver._quarter_memos(vinst)
+        memos = paper._quarter_memos(vinst)
         assert sum(len(m.cost) for m in memos) == 4
         first = sx.solve_independent_case(vinst, ctx, memos)[2]
         second = sx.solve_independent_case(vinst, ctx, memos)[2]
@@ -494,7 +492,7 @@ class TestSolve:
             # from it, up to the counts and windows only the ordering knows
             qa = found[0]
             m_ab, m_cd = qa.half_masks()
-            ctx_half = solver._half_split(vinst, ctx.m_set, m_ab, m_cd)
+            ctx_half = paper._half_split(vinst, ctx.m_set, m_ab, m_cd)
             w_half_q = [0, 0, 0, 0]
             for v in _bits(ctx_half.whalf_ab | ctx_half.whalf_cd):
                 w_half_q[(vo.positions[v] - 1) // (vinst.n // 4)] |= 1 << v
@@ -503,7 +501,7 @@ class TestSolve:
             assert w_half_q in set(
                 _w_refinements(vinst, ctx_half.whalf_ab, ctx_half.whalf_cd, m_quarter_of)
             )
-            built = solver._refine(vinst, ctx_half, qa.masks(), w_half_q)
+            built = paper._refine(vinst, ctx_half, qa.masks(), w_half_q)
             for f in fields(sx.BranchContext):
                 if f.name not in ("p_counts", "wq_b", "wq_c"):
                     assert getattr(built, f.name) == getattr(ctx, f.name), (seed, f.name)
@@ -605,7 +603,7 @@ class TestBranchInvariants:
                 engines.append(self)
 
         monkeypatch.setattr(dp_module, "SubsetDP", RecordingDP)
-        real = solver.solve_quarter_case
+        real = paper.solve_quarter_case
         checked = 0
 
         def checked_case(inst, ctx, case):
@@ -624,7 +622,7 @@ class TestBranchInvariants:
                         assert labels <= p_val
                 checked += 1
 
-        monkeypatch.setattr(solver, "solve_quarter_case", checked_case)
+        monkeypatch.setattr(paper, "solve_quarter_case", checked_case)
         for inst in _forced_instances():
             sx.solve(inst, self.QUARTERS)
         assert checked > 80
@@ -632,7 +630,7 @@ class TestBranchInvariants:
     def test_independent_pools_fill_the_quotas(self, monkeypatch):
         # the four pools partition the jobs not pinned to a quarter, so the
         # pool sizes sum to the four quotas
-        real = solver.solve_independent_case
+        real = paper.solve_independent_case
         checked = 0
 
         def checked_case(inst, ctx, memos=None):
@@ -647,7 +645,7 @@ class TestBranchInvariants:
             checked += 1
             return real(inst, ctx, memos)
 
-        monkeypatch.setattr(solver, "solve_independent_case", checked_case)
+        monkeypatch.setattr(paper, "solve_independent_case", checked_case)
         for inst in _forced_instances():
             sx.solve(inst, self.SPLIT)
         assert checked > 1000
