@@ -1,10 +1,11 @@
 """Command-line surface: solve, verify, gen, count, bench.
 
 Exit codes: 0 success, 1 malformed input or flags (a negative --wq-cap
-or --cap included), or an instance above the brute-force cap (solve,
-bench) or the ideal-counting cap (count), 2 infeasible or cyclic instance,
-3 invalid ordering (verify), 4 violated counting bound (count), 5 cost
-mismatch between algorithms (bench).
+or --cap, or an --epsN with a zero denominator, included), an unwritable
+output path, or an instance above the brute-force cap (solve, bench), the
+ideal-counting cap or the --K enumeration cap (count), 2 infeasible or
+cyclic instance, 3 invalid ordering (verify), 4 violated counting bound
+(count), 5 cost mismatch between algorithms (bench).
 
 `solve` prints each dispatch warning of its thresholds, and a line when a
 quarter-window guess exceeded --wq-cap, to stderr as `warning: ...`.
@@ -35,7 +36,7 @@ from . import paper  # noqa: F401
 # is_downward_closed is unused here but stays importable: perfbench/spans.py
 # wraps it by this module's name.
 from .dp import DpStats, is_downward_closed, solve_filtered  # noqa: F401
-from .exchange import enumerate_non_exchangeable, non_exchangeable_bound
+from .exchange import SetTooLarge, enumerate_non_exchangeable, non_exchangeable_bound
 from .gen import MODELS, generate
 from .instance import (
     CyclicPrecedence,
@@ -43,6 +44,7 @@ from .instance import (
     InstanceTooLarge,
     NotABijection,
     Ordering,
+    bits,
     instance_from_json,
     instance_to_json,
     ordering_cost,
@@ -83,6 +85,14 @@ def _load(path: str) -> Instance:
         raise SystemExit(2)
     except ValueError as exc:
         print(f"malformed instance: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -138,9 +148,7 @@ def cmd_solve(args) -> int:
             print(f"warning: {_wq_cap_message(args.wq_cap)}", file=sys.stderr)
     if args.stats:
         # extra is a SolveReport or a DpStats; both write their own CSV row.
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            fh.write("algo," + extra.CSV_HEADER + "\n")
-            fh.write(f"{args.algo}," + extra.as_csv_row() + "\n")
+        _write(args.stats, f"algo,{extra.CSV_HEADER}\n{args.algo},{extra.as_csv_row()}\n")
     return 0
 
 
@@ -173,7 +181,7 @@ def cmd_gen(args) -> int:
     payload = generate(args.model, args.n, args.density, args.tmax, args.seed)
     text = instance_to_json(payload["n"], payload["times"], payload["precedences"])
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -210,11 +218,15 @@ def cmd_count(args) -> int:
         for v in jobs:
             before = inst.pred_masks[v] & k
             if before:
-                u = (before & -before).bit_length() - 1
+                u = next(bits(before))
                 print(f"--K is not an antichain: job {u} precedes job {v}", file=sys.stderr)
                 return 1
         mode = "succ" if args.what == "non-exch-succ" else "pred"
-        count = len(enumerate_non_exchangeable(inst, k, mode))
+        try:
+            count = len(enumerate_non_exchangeable(inst, k, mode))
+        except SetTooLarge as exc:
+            print(f"--K too large: {exc}", file=sys.stderr)
+            return 1
         bound = non_exchangeable_bound(inst, k, mode)
     print(f"count={count} bound={bound}")
     return 4 if count > bound else 0
@@ -334,7 +346,7 @@ def cmd_bench(args) -> int:
     lines = [BENCH_HEADER] + [r[3] for r in results]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -412,9 +424,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except CyclicPrecedence as exc:
-        print(f"infeasible instance: {exc}", file=sys.stderr)
-        return 2
     except InstanceTooLarge as exc:
         print(f"instance too large for brute: {exc}", file=sys.stderr)
         return 1

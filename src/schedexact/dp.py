@@ -20,12 +20,13 @@ element. With label_domain = 0 the label is always empty and the engine
 is the plain subset DP.
 
 The tables live as long as the engine, so visits from several top states
-share them. solve_filtered and solve_filtered_labeled are one-shot
-drivers: build an engine, visit the start state (for the labeled DP with
-freeze_size < n, every label subset of size label_target at the full
-set), rebuild the sequence. The independent-quarters split keeps one
-offset engine per quarter for all the content guesses of a variant, and
-the dcdp route runs one offset engine per Sidney block.
+share them. solve_filtered_labeled is the one-shot driver: build an
+engine, visit the start state (with freeze_size < n, every label subset
+of size label_target at the full set), rebuild the sequence.
+solve_filtered is that driver with an empty label domain. The
+independent-quarters split keeps one offset engine per quarter for all
+the content guesses of a variant, and the dcdp route runs one offset
+engine per Sidney block.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
-from .instance import Instance, Ordering
+from .instance import Instance, Ordering, bits
 
 _MISS = object()
 
@@ -63,14 +64,8 @@ class DpStats:
 
 
 def is_downward_closed(inst: Instance, x: int) -> bool:
-    m = x
     pred = inst.pred_masks
-    while m:
-        b = m & -m
-        m ^= b
-        if pred[b.bit_length() - 1] & ~x:
-            return False
-    return True
+    return not any(pred[v] & ~x for v in bits(x))
 
 
 def _recursion_guard(n: int) -> None:
@@ -81,13 +76,7 @@ def _recursion_guard(n: int) -> None:
 
 def subsets_of_size(mask: int, k: int) -> Iterator[int]:
     """The k-element subsets of mask, in combinations order of its bits."""
-    bits = []
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        bits.append(b)
-    for combo in combinations(bits, k):
+    for combo in combinations([1 << v for v in bits(mask)], k):
         yield sum(combo)
 
 
@@ -220,11 +209,7 @@ def solve_filtered(
     With accept=None this is the plain exhaustive subset DP. Raises
     Infeasible when the full set admits no surviving schedule.
     """
-    dp = SubsetDP(inst, None if accept is None else lambda x, _lab: accept(x))
-    total = dp.visit(inst.full_mask)
-    if total is None:
-        raise Infeasible("no ordering survives the acceptance predicate")
-    return Ordering.from_sequence(dp.sequence(inst.full_mask)), total, dp.stats()
+    return solve_filtered_labeled(inst, 0, None if accept is None else lambda x, _lab: accept(x))
 
 
 def solve_filtered_labeled(

@@ -145,20 +145,15 @@ def enumerate_non_exchangeable(inst: Instance, k: int, mode: str) -> list[int]:
         check = is_pred_exchangeable
     else:
         raise ValueError(f"mode must be 'succ' or 'pred', got {mode!r}")
-    singles = [1 << v for v in bits(k)]
+    # The subsets of k in increasing order, from 0 back round to 0.
     out = []
-    for pattern in range(1 << size):
-        l = 0
-        p = pattern
-        i = 0
-        while p:
-            if p & 1:
-                l |= singles[i]
-            p >>= 1
-            i += 1
+    l = 0
+    while True:
         if not check(inst, l, k):
             out.append(l)
-    return out
+        l = (l - k) & k
+        if not l:
+            return out
 
 
 def non_exchangeable_bound(inst: Instance, k: int, mode: str) -> int:

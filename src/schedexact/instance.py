@@ -77,15 +77,7 @@ class Instance:
 
     def precedence_pairs(self) -> list[tuple[int, int]]:
         """All (u, v) with u < v in the closed relation, sorted."""
-        out = []
-        for v, pm in enumerate(self.pred_masks):
-            m = pm
-            while m:
-                b = m & -m
-                m ^= b
-                out.append((b.bit_length() - 1, v))
-        out.sort()
-        return out
+        return sorted((u, v) for v, pm in enumerate(self.pred_masks) for u in bits(pm))
 
 
 @dataclass(frozen=True)
@@ -110,32 +102,6 @@ class Ordering:
         return len(self.positions)
 
 
-def _find_cycle(n: int, succs: list[set[int]]) -> list[int]:
-    # Colored DFS, successors in increasing order; only called once cycle
-    # existence is known. The explicit stack keeps a long cycle from
-    # exhausting the interpreter's recursion limit.
-    color = [0] * n
-    for s in range(n):
-        if color[s]:
-            continue
-        color[s] = 1
-        path = [s]
-        todo = [iter(sorted(succs[s]))]
-        while todo:
-            for w in todo[-1]:
-                if color[w] == 1:
-                    return path[path.index(w):] + [w]
-                if color[w] == 0:
-                    color[w] = 1
-                    path.append(w)
-                    todo.append(iter(sorted(succs[w])))
-                    break
-            else:
-                color[path.pop()] = 2
-                todo.pop()
-    raise AssertionError("no cycle found")
-
-
 def transitive_closure(raw_edges, n: int) -> Instance:
     """Build an Instance from arbitrary DAG edges (u precedes v).
 
@@ -146,6 +112,14 @@ def transitive_closure(raw_edges, n: int) -> Instance:
 
 
 def build_instance(times, raw_edges) -> Instance:
+    """Build an Instance from processing times and DAG edges (u precedes v).
+
+    One colored DFS closes the relation: start jobs ascending, successors
+    in increasing order, each job's successor mask closed when the DFS
+    leaves it. The first edge back into the DFS path raises
+    CyclicPrecedence naming that cycle. The explicit stack keeps a long
+    chain or cycle from exhausting the interpreter's recursion limit.
+    """
     n = len(times)
     for t in times:
         if t < 0:
@@ -158,58 +132,51 @@ def build_instance(times, raw_edges) -> Instance:
             raise CyclicPrecedence([u, u])
         succs[u].add(v)
 
-    # Kahn's algorithm: cycle detection plus a topological order for closing.
-    indeg = [0] * n
-    for u in range(n):
-        for v in succs[u]:
-            indeg[v] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    topo = []
-    while queue:
-        u = queue.pop()
-        topo.append(u)
-        for v in succs[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if len(topo) != n:
-        raise CyclicPrecedence(_find_cycle(n, succs))
-
     succ_masks = [0] * n
-    for u in reversed(topo):
-        m = 0
-        for v in succs[u]:
-            m |= (1 << v) | succ_masks[v]
-        succ_masks[u] = m
+    color = [0] * n  # 0 unvisited, 1 on the DFS path, 2 closed
+    for s in range(n):
+        if color[s]:
+            continue
+        color[s] = 1
+        path = [s]
+        todo = [iter(sorted(succs[s]))]
+        while todo:
+            for w in todo[-1]:
+                if color[w] == 1:
+                    raise CyclicPrecedence(path[path.index(w):] + [w])
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    todo.append(iter(sorted(succs[w])))
+                    break
+            else:
+                u = path.pop()
+                todo.pop()
+                color[u] = 2
+                m = 0
+                for v in succs[u]:
+                    m |= (1 << v) | succ_masks[v]
+                succ_masks[u] = m
     pred_masks = [0] * n
     for u in range(n):
-        m = succ_masks[u]
-        while m:
-            b = m & -m
-            m ^= b
-            pred_masks[b.bit_length() - 1] |= 1 << u
+        for v in bits(succ_masks[u]):
+            pred_masks[v] |= 1 << u
     return Instance(tuple(times), tuple(pred_masks), tuple(succ_masks))
 
 
 def pred_set(inst: Instance, jobs: int) -> int:
     """Union of strict predecessors over the members of the bitmask."""
     out = 0
-    m = jobs
-    while m:
-        b = m & -m
-        m ^= b
-        out |= inst.pred_masks[b.bit_length() - 1]
+    for v in bits(jobs):
+        out |= inst.pred_masks[v]
     return out
 
 
 def succ_set(inst: Instance, jobs: int) -> int:
     """Union of strict successors over the members of the bitmask."""
     out = 0
-    m = jobs
-    while m:
-        b = m & -m
-        m ^= b
-        out |= inst.succ_masks[b.bit_length() - 1]
+    for v in bits(jobs):
+        out |= inst.succ_masks[v]
     return out
 
 

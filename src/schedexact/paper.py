@@ -73,9 +73,8 @@ class ContradictoryBranch(RuntimeError):
     """A branch guess forces a job into two disjoint position windows."""
 
 
+# Quarter g draws its eligible jobs from p_sets[g] (A, notA, notD, D).
 QUARTER_NAMES = "ABCD"
-# Quarter -> index of its eligible ground set in p_sets (A, notA, notD, D).
-CASE_DELTA = {"A": 0, "B": 1, "C": 2, "D": 3}
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ def quarter_case_filter(inst: Instance, ctx: BranchContext, case: str):
     full = inst.full_mask
     assert ctx.p_sets is not None and ctx.p_counts is not None
     gamma = QUARTER_NAMES.index(case)
-    domain = ctx.p_sets[CASE_DELTA[case]]
+    domain = ctx.p_sets[gamma]
     p_val = ctx.p_counts[gamma]
     assert p_val is not None
     forward = case in ("A", "B")
@@ -673,11 +672,7 @@ def _greedy_schedule(inst: Instance) -> tuple[int, Ordering]:
         placed |= 1 << v
         seq.append(v)
         cost += (n - depth) * times[v]
-        m = succ[v] & ~placed
-        while m:
-            b = m & -m
-            m ^= b
-            w = b.bit_length() - 1
+        for w in bits(succ[v] & ~placed):
             if pred[w] & ~placed == 0 and w not in ready:
                 ready.append(w)
     return cost, Ordering.from_sequence(seq)

@@ -87,7 +87,12 @@ class EpsilonConfig:
 
 def _as_fraction(v) -> Fraction:
     # Through str, so the float 0.3 means 3/10 rather than its binary value.
-    return v if isinstance(v, Fraction) else Fraction(str(v))
+    if isinstance(v, Fraction):
+        return v
+    try:
+        return Fraction(str(v))
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {v} has a zero denominator") from None
 
 
 # Built once: parsing the four decimals and checking the warnings in

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, InstanceTooLarge
+from .instance import Instance, InstanceTooLarge, bits
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,7 @@ def count_order_ideals(inst: Instance, cap: int = 24) -> int:
         got = memo.get(available)
         if got is not None:
             return got
-        m = available
-        v = -1
-        while m:
-            b = m & -m
-            if not pred[b.bit_length() - 1] & available:
-                v = b.bit_length() - 1
-                break
-            m ^= b
+        v = next(u for u in bits(available) if not pred[u] & available)
         bit = 1 << v
         total = count(available & ~(succ[v] | bit)) + count(available ^ bit)
         memo[available] = total

@@ -16,7 +16,7 @@ import pytest
 
 import schedexact as sx
 from schedexact.gen import generate, to_instance
-from schedexact.paper import CASE_DELTA, half_case_filter, quarter_case_filter
+from schedexact.paper import half_case_filter, quarter_case_filter
 from schedexact.structure import comparability_graph, greedy_maximal_matching
 
 from conftest import labeled_trace, prefix_trace

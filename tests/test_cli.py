@@ -277,6 +277,12 @@ class TestGen:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_without_out(self, tmp_path, capsys):
+        args = ["gen", "--n", "7", "--model", "chain-mix", "--density", "0.5", "--seed", "3"]
+        out_path = tmp_path / "i.json"
+        assert run_cli(args + ["--out", str(out_path)], capsys) == (0, "", "")
+        assert run_cli(args, capsys) == (0, out_path.read_text(encoding="utf-8"), "")
+
     def test_bad_flags_exit_1(self, capsys):
         code, _, _ = run_cli(["gen", "--n", "4", "--model", "bogus"], capsys)
         assert code == 1
@@ -348,6 +354,54 @@ class TestCount:
         assert code == 1
         assert out == ""
         assert err == "instance too large: n=30 exceeds ideal counting cap 24\n"
+
+
+# Every documented error input: (argv, exit code, start of stderr). {d} is
+# a directory holding ok.json (a 3-chain), cyc.json (a 2-cycle), bad.json
+# (not JSON), wide.json (17 unconstrained jobs) and inst/ (a copy of ok.json).
+ERROR_INPUTS = {
+    "bad-json": (["solve", "--input", "{d}/bad.json"], 1, "malformed instance: invalid JSON"),
+    "cycle": (["solve", "--input", "{d}/cyc.json"], 2, "infeasible instance: precedence cycle: 0 -> 1 -> 0\n"),
+    "jobs-0": (["bench", "--dir", "{d}/inst", "--algos", "dp", "--jobs", "0"], 1,
+               "--jobs must be at least 1, got 0\n"),
+    "cap-negative": (["solve", "--input", "{d}/ok.json", "--cap", "-1"], 1, "--cap must be at least 0, got -1\n"),
+    "wq-cap-negative": (["solve", "--input", "{d}/ok.json", "--wq-cap", "-1"], 1,
+                        "--wq-cap must be at least 0, got -1\n"),
+    "empty-order-token": (["verify", "--input", "{d}/ok.json", "--order", "0,,1"], 1,
+                          "malformed ordering '0,,1'\n"),
+    "k-twice": (["count", "--input", "{d}/wide.json", "--what", "non-exch-succ", "--K", "0,0"], 1,
+                "job 0 listed twice\n"),
+    "k-out-of-range": (["count", "--input", "{d}/wide.json", "--what", "non-exch-pred", "--K", "0,17"], 1,
+                       "job 17 out of range\n"),
+    "k-over-cap": (["count", "--input", "{d}/wide.json", "--what", "non-exch-succ",
+                    "--K", ",".join(map(str, range(17)))], 1,
+                   "--K too large: |K|=17 exceeds enumeration cap 16\n"),
+    "solve-eps-zero-denominator": (["solve", "--input", "{d}/ok.json", "--eps1", "1/0"], 1,
+                                   "bad epsilon configuration: epsilon 1/0 has a zero denominator\n"),
+    "bench-eps-zero-denominator": (["bench", "--dir", "{d}/inst", "--algos", "full", "--eps3", "3/0"], 1,
+                                   "bad epsilon configuration: epsilon 3/0 has a zero denominator\n"),
+    "solve-stats-unwritable": (["solve", "--input", "{d}/ok.json", "--stats", "{d}/missing/s.csv"], 1,
+                               "cannot write {d}/missing/s.csv: "),
+    "gen-out-unwritable": (["gen", "--n", "3", "--model", "chain-mix", "--out", "{d}/missing/g.json"], 1,
+                           "cannot write {d}/missing/g.json: "),
+    "bench-out-unwritable": (["bench", "--dir", "{d}/inst", "--algos", "dp", "--out", "{d}/missing/b.csv"], 1,
+                             "cannot write {d}/missing/b.csv: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_INPUTS))
+def test_error_inputs_exit_with_their_code(tmp_path, capsys, case):
+    write_instance(tmp_path, "ok.json", 3, [4, 3, 2], [[0, 1], [1, 2]])
+    write_instance(tmp_path, "cyc.json", 2, [1, 1], [[0, 1], [1, 0]])
+    write_instance(tmp_path, "wide.json", 17, [1] * 17, [])
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "inst").mkdir()
+    write_instance(tmp_path / "inst", "ok.json", 3, [4, 3, 2], [[0, 1], [1, 2]])
+    argv, code, err_start = ERROR_INPUTS[case]
+    got, _, err = run_cli([a.replace("{d}", str(tmp_path)) for a in argv], capsys)
+    assert got == code
+    assert err.startswith(err_start.replace("{d}", str(tmp_path)))
+    assert "Traceback" not in err
 
 
 class TestBench:

@@ -38,6 +38,26 @@ class TestTransitiveClosure:
         with pytest.raises(IndexOutOfRange):
             sx.transitive_closure([(0, 5)], 3)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="negative processing time -1"):
+            sx.build_instance([2, -1], [])
+
+    def test_first_cycle_in_dfs_order_is_named(self):
+        # the DFS starts at job 0, so it names that cycle, not the one
+        # listed first
+        with pytest.raises(CyclicPrecedence) as err:
+            sx.transitive_closure([(2, 3), (3, 2), (0, 1), (1, 0)], 4)
+        assert str(err.value) == "precedence cycle: 0 -> 1 -> 0"
+
+    def test_long_chain_closes_without_recursion(self):
+        # far deeper than the default recursion limit
+        n = 3000
+        inst = sx.transitive_closure([(i, i + 1) for i in range(n - 1)], n)
+        full = (1 << n) - 1
+        assert inst.succ_masks[0] == full ^ 1
+        assert inst.pred_masks[n - 1] == full ^ (1 << (n - 1))
+        assert inst.succ_masks[n - 1] == 0 and inst.pred_masks[0] == 0
+
     def test_duplicate_edges_ignored(self):
         a = sx.transitive_closure([(0, 1), (0, 1)], 2)
         b = sx.transitive_closure([(0, 1)], 2)
@@ -249,6 +269,7 @@ class TestJsonInterface:
             '{"n": true, "times": [1], "precedences": []}',
             '{"n": 1, "times": [true], "precedences": []}',
             '{"n": 2, "times": [1, 1], "precedences": [[false, true]]}',
+            '{"n": 2, "times": [1, 1], "precedences": {"0": 1}}',
             "not json",
         ],
     )

@@ -43,6 +43,10 @@ class TestEpsilonConfig:
     def test_values_parse_exactly(self, raw):
         assert EpsilonConfig.make(raw, raw, raw, raw).eps1 == Fraction(3, 10)
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="epsilon 1/0 has a zero denominator"):
+            EpsilonConfig.make("1/0", 0.3, 0.3, 0.3)
+
     def test_forced_config_warns_but_loads(self):
         cfg = EpsilonConfig.make(0.2, 0.22, 0.24, 0.26)
         assert cfg.eps1 == Fraction(1, 5)
@@ -234,7 +238,7 @@ class TestQuarterCases:
             vinst, ctx, vo, vc = _consistent_setup(inst)
             o, c, _ = sx.solve_quarter_case(vinst, ctx, case)
             assert c == vc and o.positions == vo.positions
-            if ctx.p_sets[paper.CASE_DELTA[case]]:
+            if ctx.p_sets[paper.QUARTER_NAMES.index(case)]:
                 hit += 1
         assert hit > 3
 
@@ -455,6 +459,26 @@ class TestSolve:
         # distinct closed relations with index-increasing edges on 4 jobs
         assert len(seen) == 40
 
+    def test_both_halves_forced_runs_the_larger_half(self, monkeypatch):
+        # three free jobs are forced into each half (eps2 * n = 3 after
+        # padding to 12), so the tie goes to the AB side
+        inst = sx.build_instance(
+            [0, 24, 0, 8, 4, 7, 4, 4, 5, 2],
+            [(0, 1), (2, 3), (4, 0), (5, 0), (6, 0), (3, 7), (3, 8), (3, 9)],
+        )
+        real = paper.solve_half_case
+        sides = set()
+
+        def spy(vinst, ctx, side):
+            sides.add((ctx.whalf_ab.bit_count(), ctx.whalf_cd.bit_count(), side))
+            return real(vinst, ctx, side)
+
+        monkeypatch.setattr(paper, "solve_half_case", spy)
+        o, c, rep = sx.solve(inst, EpsilonConfig.make("0.21", "0.25", "0.26", "0.27"))
+        assert (3, 3, "AB") in sides
+        assert c == 211 == sx.brute_force_optimal(inst)[1]
+        assert rep.chosen_path == "half" and sx.validate_ordering(inst, o)
+
     def test_normalized_ordering_identity(self):
         for seed in range(10):
             inst = random_instance(seed + 100, 5, 0.3)
@@ -649,3 +673,88 @@ class TestBranchInvariants:
         for inst in _forced_instances():
             sx.solve(inst, self.SPLIT)
         assert checked > 1000
+
+
+def _reversed(ordering):
+    return sx.Ordering.from_sequence(ordering.sequence[::-1])
+
+
+class TestBugTraps:
+    """Each InternalInconsistency raise fires when the code it guards is
+    made to misbehave."""
+
+    CHAIN = sx.build_instance([3, 1, 1], [(0, 1), (1, 2)])  # one Sidney block
+
+    def test_blocks_reject_an_invalid_schedule(self, monkeypatch):
+        real = dp_module.SubsetDP.sequence
+        monkeypatch.setattr(
+            dp_module.SubsetDP, "sequence", lambda self, x, lab=0: real(self, x, lab)[::-1]
+        )
+        with pytest.raises(sx.InternalInconsistency, match="violate a precedence"):
+            sx.solve(self.CHAIN)
+
+    def test_blocks_reject_a_wrong_cost(self, monkeypatch):
+        real = dp_module.SubsetDP.visit
+        monkeypatch.setattr(
+            dp_module.SubsetDP, "visit", lambda self, x, lab=0: real(self, x, lab) + 1
+        )
+        with pytest.raises(sx.InternalInconsistency, match="do not add up"):
+            sx.solve(self.CHAIN)
+
+    @staticmethod
+    def _chain_split():
+        vinst, ctx, _, _ = _consistent_setup(
+            sx.build_instance([5, 3, 8, 1, 4, 2, 7, 6], [(i, i + 1) for i in range(7)])
+        )
+        return vinst, ctx, paper._quarter_memos(vinst)
+
+    def test_split_rejects_an_invalid_schedule(self):
+        vinst, ctx, memos = self._chain_split()
+        for memo in memos:
+            memo.sequence = lambda x, lab=0, real=memo.sequence: real(x, lab)[::-1]
+        with pytest.raises(sx.InternalInconsistency, match="violate precedence"):
+            sx.solve_independent_case(vinst, ctx, memos)
+
+    def test_split_rejects_a_wrong_cost(self):
+        vinst, ctx, memos = self._chain_split()
+        for memo in memos:
+            memo.visit = lambda x, lab=0, real=memo.visit: real(x, lab) + 1
+        with pytest.raises(sx.InternalInconsistency, match="disagrees with table total"):
+            sx.solve_independent_case(vinst, ctx, memos)
+
+    def test_search_rejects_an_invalid_ordering(self, monkeypatch):
+        real = paper.solve_quarter_case
+
+        def bad(inst, ctx, case):
+            o, c, stats = real(inst, ctx, case)
+            return _reversed(o), c, stats
+
+        monkeypatch.setattr(paper, "solve_quarter_case", bad)
+        with pytest.raises(sx.InternalInconsistency, match="produced an invalid ordering"):
+            sx.solve(hub_out_instance(0), TestBranchInvariants.QUARTERS)
+
+    def test_search_rejects_a_wrong_cost(self, monkeypatch):
+        real = paper.solve_quarter_case
+
+        def bad(inst, ctx, case):
+            o, c, stats = real(inst, ctx, case)
+            return o, c + 1, stats
+
+        monkeypatch.setattr(paper, "solve_quarter_case", bad)
+        with pytest.raises(sx.InternalInconsistency, match="misreported its cost"):
+            sx.solve(hub_out_instance(0), TestBranchInvariants.QUARTERS)
+
+    def test_search_without_a_schedule(self, monkeypatch):
+        def infeasible(*args):
+            raise Infeasible("forced")
+
+        for name in ("solve_half_case", "solve_quarter_case", "solve_independent_case", "solve_filtered"):
+            monkeypatch.setattr(paper, name, infeasible)
+        with pytest.raises(sx.InternalInconsistency, match="no endpoint variant produced a schedule"):
+            sx.solve(hub_out_instance(0), TestBranchInvariants.QUARTERS)
+
+    def test_projection_is_revalidated(self, monkeypatch):
+        real = paper.restrict_to_origin
+        monkeypatch.setattr(paper, "restrict_to_origin", lambda norm, o: _reversed(real(norm, o)))
+        with pytest.raises(sx.InternalInconsistency, match="projected optimum violates"):
+            sx.solve(hub_out_instance(0), TestBranchInvariants.QUARTERS)

@@ -83,6 +83,10 @@ class TestOrderIdeals:
         assert sx.count_order_ideals(inst) == 9
         assert len(all_subset_ideals(inst)) == 9
 
+    def test_lowest_job_not_minimal(self):
+        # job 0 is the lowest but has a predecessor: ideals {}, {1}, {0, 1}
+        assert sx.count_order_ideals(sx.transitive_closure([(1, 0)], 2)) == 3
+
     def test_matches_enumeration(self):
         for seed in range(10):
             inst = random_instance(seed + 7, 9, 0.35)
