@@ -15,13 +15,26 @@ successor inside it), and decode inverts the fingerprint exactly on the
 non-exchangeable family. All comparisons use processing times; callers
 wanting determinism under ties should perturb times first, argmin and
 argmax themselves break ties by job index.
+
+Only the succ side is written out. The pred side is the succ side read
+from the other end of the schedule: on the mirror, which swaps every
+job's predecessors and successors and negates every time (so cheaper and
+pricier swap too), and with each label set L of K replaced by K - L:
+
+    is_pred_exchangeable(I, L, K) == is_succ_exchangeable(mirror, K - L, K)
+    encode_pred(I, Y, K)          == encode_succ(mirror, K - Y, K)
+    decode_pred(I, Z, K)          == K - decode_succ(mirror, Z, K)
+
+The (t, v)-minimum on the mirror is the (t, -v)-maximum on I, so the
+tie-breaks agree. Negative times are no valid instance anywhere else, so
+the mirror is built inside this module and never returned.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .instance import Instance, bits, pred_set, succ_set
+from .instance import Instance, bits, submasks, succ_set
 
 
 class NotASubset(ValueError):
@@ -35,6 +48,12 @@ class SetTooLarge(ValueError):
 def _require_subset(l: int, k: int) -> None:
     if l & ~k:
         raise NotASubset(f"label set {l:#x} is not contained in ground set {k:#x}")
+
+
+def _mirror(inst: Instance) -> Instance:
+    """The reversed order with negated times: predecessors and successors
+    swap, and so do cheaper and pricier."""
+    return Instance(tuple(-t for t in inst.times), inst.succ_masks, inst.pred_masks)
 
 
 def is_succ_exchangeable(inst: Instance, l: int, k: int) -> bool:
@@ -59,18 +78,7 @@ def is_pred_exchangeable(inst: Instance, l: int, k: int) -> bool:
     """True iff some v in k outside l has, for each predecessor w, a pricier
     member of l among w's successors."""
     _require_subset(l, k)
-    times = inst.times
-    for v in bits(k & ~l):
-        tv = times[v]
-        witness = True
-        for w in bits(inst.pred_masks[v]):
-            cands = l & inst.succ_masks[w]
-            if not any(times[u] > tv for u in bits(cands)):
-                witness = False
-                break
-        if witness:
-            return True
-    return False
+    return is_succ_exchangeable(_mirror(inst), k ^ l, k)
 
 
 def encode_succ(inst: Instance, y: int, k: int) -> int:
@@ -106,64 +114,39 @@ def encode_pred(inst: Instance, y: int, k: int) -> int:
     """Fingerprint: per outside predecessor w, the priciest member of y among
     w's successors. Contained in y."""
     _require_subset(y, k)
-    times = inst.times
-    out = 0
-    for w in bits(pred_set(inst, k)):
-        cands = y & inst.succ_masks[w]
-        if cands:
-            best = max(bits(cands), key=lambda v: (times[v], -v))
-            out |= 1 << best
-    return out
+    return encode_succ(_mirror(inst), k ^ y, k)
 
 
 def decode_pred(inst: Instance, z: int, k: int) -> int:
     """Jobs of k whose every predecessor w has a fingerprint entry among its
     successors at least as pricey. Contains z."""
     _require_subset(z, k)
-    times = inst.times
-    out = 0
-    for v in bits(k):
-        tv = times[v]
-        ok = True
-        for w in bits(inst.pred_masks[v]):
-            if not any(times[x] >= tv for x in bits(z & inst.succ_masks[w])):
-                ok = False
-                break
-        if ok:
-            out |= 1 << v
-    return out
+    return k ^ decode_succ(_mirror(inst), z, k)
+
+
+def _oriented(inst: Instance, k: int, mode: str) -> tuple[Instance, int]:
+    """The instance on which the mode's exchange is succ-exchange, and the
+    mask that maps a label set of k to its label set there."""
+    if mode == "succ":
+        return inst, 0
+    if mode == "pred":
+        return _mirror(inst), k
+    raise ValueError(f"mode must be 'succ' or 'pred', got {mode!r}")
 
 
 def enumerate_non_exchangeable(inst: Instance, k: int, mode: str) -> list[int]:
-    """All subsets of k that are non-exchangeable in the given mode."""
+    """All subsets of k that are non-exchangeable in the given mode, in
+    increasing order."""
     size = k.bit_count()
     if size > 16:
         raise SetTooLarge(f"|K|={size} exceeds enumeration cap 16")
-    if mode == "succ":
-        check = is_succ_exchangeable
-    elif mode == "pred":
-        check = is_pred_exchangeable
-    else:
-        raise ValueError(f"mode must be 'succ' or 'pred', got {mode!r}")
-    # The subsets of k in increasing order, from 0 back round to 0.
-    out = []
-    l = 0
-    while True:
-        if not check(inst, l, k):
-            out.append(l)
-        l = (l - k) & k
-        if not l:
-            return out
+    oriented, flip = _oriented(inst, k, mode)
+    return [l for l in submasks(k) if not is_succ_exchangeable(oriented, l ^ flip, k)]
 
 
 def non_exchangeable_bound(inst: Instance, k: int, mode: str) -> int:
     """Counting certificate: sum of C(|K|, l) for l up to the number of
     outside neighbours feeding the fingerprint."""
     size = k.bit_count()
-    if mode == "succ":
-        m = succ_set(inst, k).bit_count()
-    elif mode == "pred":
-        m = pred_set(inst, k).bit_count()
-    else:
-        raise ValueError(f"mode must be 'succ' or 'pred', got {mode!r}")
+    m = succ_set(_oriented(inst, k, mode)[0], k).bit_count()
     return sum(comb(size, l) for l in range(min(size, m) + 1))

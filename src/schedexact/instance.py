@@ -35,6 +35,16 @@ def bits(mask: int) -> Iterator[int]:
         yield b.bit_length() - 1
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Every subset of mask in increasing order, from 0 up to mask itself."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
 class CyclicPrecedence(ValueError):
     """Raised when the precedence input admits no valid ordering."""
 
@@ -119,6 +129,8 @@ def build_instance(times, raw_edges) -> Instance:
     leaves it. The first edge back into the DFS path raises
     CyclicPrecedence naming that cycle. The explicit stack keeps a long
     chain or cycle from exhausting the interpreter's recursion limit.
+    Reversed, the order in which the DFS leaves the jobs is topological,
+    so one pass over it closes the predecessor masks with one OR per edge.
     """
     n = len(times)
     for t in times:
@@ -134,6 +146,7 @@ def build_instance(times, raw_edges) -> Instance:
 
     succ_masks = [0] * n
     color = [0] * n  # 0 unvisited, 1 on the DFS path, 2 closed
+    finished: list[int] = []
     for s in range(n):
         if color[s]:
             continue
@@ -153,14 +166,16 @@ def build_instance(times, raw_edges) -> Instance:
                 u = path.pop()
                 todo.pop()
                 color[u] = 2
+                finished.append(u)
                 m = 0
                 for v in succs[u]:
                     m |= (1 << v) | succ_masks[v]
                 succ_masks[u] = m
     pred_masks = [0] * n
-    for u in range(n):
-        for v in bits(succ_masks[u]):
-            pred_masks[v] |= 1 << u
+    for u in reversed(finished):
+        m = pred_masks[u] | 1 << u
+        for v in succs[u]:
+            pred_masks[v] |= m
     return Instance(tuple(times), tuple(pred_masks), tuple(succ_masks))
 
 

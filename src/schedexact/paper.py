@@ -63,7 +63,10 @@ from .instance import (
     endpoint_variants,
     normalize,
     ordering_cost,
+    pred_set,
     restrict_to_origin,
+    submasks,
+    succ_set,
     validate_ordering,
 )
 from .solver import EpsilonConfig, InternalInconsistency, SolveReport
@@ -143,47 +146,27 @@ def enumerate_quarter_assignments(
     """All order-consistent quarter labelings of the given jobs.
 
     Comparable members never go to a later quarter than their successors;
-    the begin job is pinned to A, the end job to D.
+    the begin job is pinned to A, the end job to D. Members are labelled in
+    increasing order, each quarter ascending between the latest quarter of
+    its labelled predecessors and the earliest of its labelled successors.
     """
     members = tuple(sorted(members))
-    k = len(members)
-    idx = {v: i for i, v in enumerate(members)}
-    # preds_in[i] = indices of members preceding member i
-    preds_in: list[list[int]] = [[] for _ in range(k)]
-    succs_in: list[list[int]] = [[] for _ in range(k)]
-    for i, v in enumerate(members):
-        for u in bits(inst.pred_masks[v]):
-            if u in idx:
-                preds_in[i].append(idx[u])
-                succs_in[idx[u]].append(i)
-
-    lo = [0] * k
-    hi = [3] * k
-    if v_begin in idx:
-        hi[idx[v_begin]] = 0
-    if v_end in idx:
-        lo[idx[v_end]] = 3
-    chosen = [0] * k
+    placed = [0, 0, 0, 0]
+    chosen: list[int] = []
 
     def walk(i: int) -> Iterator[QuarterAssignment]:
-        if i == k:
+        if i == len(members):
             yield QuarterAssignment(members, tuple(chosen))
             return
-        for q in range(lo[i], hi[i] + 1):
-            ok = True
-            for j in preds_in[i]:
-                if j < i and chosen[j] > q:
-                    ok = False
-                    break
-            if ok:
-                for j in succs_in[i]:
-                    if j < i and chosen[j] < q:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            chosen[i] = q
+        v = members[i]
+        lo = max([3 if v == v_end else 0] + [q for q in range(4) if placed[q] & inst.pred_masks[v]])
+        hi = min([0 if v == v_begin else 3] + [q for q in range(4) if placed[q] & inst.succ_masks[v]])
+        for q in range(lo, hi + 1):
+            placed[q] |= 1 << v
+            chosen.append(q)
             yield from walk(i + 1)
+            chosen.pop()
+            placed[q] ^= 1 << v
 
     yield from walk(0)
 
@@ -191,13 +174,8 @@ def enumerate_quarter_assignments(
 def compute_w_half(inst: Instance, i1: int, m_ab: int, m_cd: int) -> tuple[int, int]:
     """Antichain jobs forced into the first (resp. second) half by the half
     split of the matched set. Raises ContradictoryBranch on overlap."""
-    w_ab = 0
-    w_cd = 0
-    for v in bits(i1):
-        if inst.succ_masks[v] & m_ab:
-            w_ab |= 1 << v
-        if inst.pred_masks[v] & m_cd:
-            w_cd |= 1 << v
+    w_ab = i1 & pred_set(inst, m_ab)
+    w_cd = i1 & succ_set(inst, m_cd)
     if w_ab & w_cd:
         raise ContradictoryBranch(
             f"jobs {w_ab & w_cd:#x} are forced into both halves"
@@ -211,13 +189,8 @@ def compute_p_partitions(inst: Instance, i2: int, m_b: int, m_c: int) -> tuple[i
     Returns (P_A, P_notA, P_notD, P_D): a job is barred from quarter A by a
     predecessor placed in B and barred from D by a successor placed in C.
     """
-    p_not_a = 0
-    p_not_d = 0
-    for v in bits(i2):
-        if inst.pred_masks[v] & m_b:
-            p_not_a |= 1 << v
-        if inst.succ_masks[v] & m_c:
-            p_not_d |= 1 << v
+    p_not_a = i2 & succ_set(inst, m_b)
+    p_not_d = i2 & pred_set(inst, m_c)
     return i2 ^ p_not_a, p_not_a, p_not_d, i2 ^ p_not_d
 
 
@@ -238,35 +211,23 @@ def half_case_filter(inst: Instance, ctx: BranchContext, side: str) -> Callable[
     into the second-half slots already passed. Both sides also require the
     prefix to conform with the guessed half split of the matched set.
     """
-    half = ctx.n // 2
-    m_ab, m_cd = ctx.m_ab, ctx.m_cd
-    w_ab, w_cd = ctx.whalf_ab, ctx.whalf_cd
-    if side == "AB":
-
-        def accept(x: int) -> bool:
-            xs = x.bit_count()
-            if (w_ab & ~x).bit_count() > max(0, half - xs):
-                return False
-            if xs <= half and m_cd & x:
-                return False
-            if xs >= half and m_ab & ~x:
-                return False
-            return True
-
-    elif side == "CD":
-
-        def accept(x: int) -> bool:
-            xs = x.bit_count()
-            if (w_cd & x).bit_count() > max(0, xs - half):
-                return False
-            if xs <= half and m_cd & x:
-                return False
-            if xs >= half and m_ab & ~x:
-                return False
-            return True
-
-    else:
+    if side not in ("AB", "CD"):
         raise ValueError(f"side must be 'AB' or 'CD', got {side!r}")
+    n = ctx.n
+    half = n // 2
+    ab = side == "AB"
+    w = ctx.whalf_ab if ab else ctx.whalf_cd
+    windows = (ctx.m_ab, ctx.m_cd)
+    bounds = ((0, half), (half, n))
+
+    def accept(x: int) -> bool:
+        xs = x.bit_count()
+        if ab:
+            over = (w & ~x).bit_count() > max(0, half - xs)
+        else:
+            over = (w & x).bit_count() > max(0, xs - half)
+        return not over and _conformance(xs, x, windows, bounds)
+
     return accept
 
 
@@ -428,7 +389,9 @@ def solve_independent_case(inst: Instance, ctx: BranchContext, memos=None):
     c = 2 if smallest in ((0, 2), (1, 3)) else 3  # the CD quarter of A's guessed pool
     d = 5 - c
     best: tuple[int, list[int]] | None = None
-    for ga in _all_subsets(pool[0, c]):
+    # Distinct guesses give distinct orderings, hence distinct costs on a
+    # normalised instance: the winner does not depend on the guess order.
+    for ga in submasks(pool[0, c]):
         ra = quotas[0] - ga.bit_count()  # A's share of pool[0, d]
         gb_size = size[0, d] - ra + size[1, d] - quotas[d]  # B's share of pool[1, d]
         rb = quotas[1] - gb_size  # B's share of pool[1, c]
@@ -479,15 +442,6 @@ def _best_split(t_ab, t_cd, fixed_ab: int, fixed_cd: int, shared: int, k: int):
         if best is None or c < best[0]:
             best = (c, y_ab, y_cd)
     return best
-
-
-def _all_subsets(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import schedexact
 from schedexact import Instance, Ordering, build_instance
+from schedexact.structure import comparability_graph, greedy_maximal_matching
 
 # Tests that start `python -m schedexact.cli` in a child process need the
 # child to import this same package, also when only pytest's own pythonpath
@@ -92,6 +93,20 @@ def random_instance(seed: int, n: int, density: float, tmax: int = 9) -> Instanc
             if rng.random() < density:
                 edges.append((i, j))
     return build_instance(times, edges)
+
+
+def consistent_setup(inst: Instance):
+    """The endpoint variant of a brute-force optimum, the branch consistent
+    with that variant's own optimum, and that optimum with its cost."""
+    norm = schedexact.normalize(inst)
+    base = norm.base
+    bo, _ = schedexact.brute_force_optimal(base)
+    vb, ve = bo.sequence[0], bo.sequence[-1]
+    var = next(v for v in schedexact.endpoint_variants(norm) if v.v_begin == vb and v.v_end == ve)
+    vo, vc = schedexact.brute_force_optimal(var.base)
+    res = greedy_maximal_matching(comparability_graph(base))
+    ctx = schedexact.consistent_context(var.base, vb, ve, res.matched, vo)
+    return var.base, ctx, vo, vc
 
 
 def mask(*jobs: int) -> int:

@@ -16,10 +16,11 @@ import pytest
 
 import schedexact as sx
 from schedexact.gen import generate, to_instance
+from schedexact.instance import bits
 from schedexact.paper import half_case_filter, quarter_case_filter
 from schedexact.structure import comparability_graph, greedy_maximal_matching
 
-from conftest import labeled_trace, prefix_trace
+from conftest import consistent_setup, labeled_trace, prefix_trace
 
 CONFIG_DEFAULT = None
 CONFIG_FORCED = sx.EpsilonConfig.make(0.2, 0.22, 0.24, 0.26)
@@ -31,18 +32,6 @@ SWEEP_COMBOS = list(itertools.product(range(3, 10), (0.0, 0.2, 0.5, 0.9)))
 def _sweep_instance(seed: int):
     n, density = SWEEP_COMBOS[(seed - 1) % len(SWEEP_COMBOS)]
     return to_instance(generate("random-dag", n, density, 9, seed))
-
-
-def _consistent_setup(inst):
-    norm = sx.normalize(inst)
-    base = norm.base
-    bo, _ = sx.brute_force_optimal(base)
-    vb, ve = bo.sequence[0], bo.sequence[-1]
-    var = next(v for v in sx.endpoint_variants(norm) if v.v_begin == vb and v.v_end == ve)
-    vo, vc = sx.brute_force_optimal(var.base)
-    res = greedy_maximal_matching(comparability_graph(base))
-    ctx = sx.consistent_context(var.base, vb, ve, res.matched, vo)
-    return var.base, ctx, vo, vc
 
 
 # crafted families with deterministic dispatch under the configs above
@@ -240,14 +229,14 @@ def test_criterion_5_optimal_prefixes_non_exchangeable():
         while True:
             k = sub
             if k and k.bit_count() <= 8:
-                k_positions = [pos[v] for v in _bits(k)]
+                k_positions = [pos[v] for v in bits(k)]
                 preds = sx.pred_set(vinst, k)
                 succs = sx.succ_set(vinst, k)
-                if not preds or max(pos[v] for v in _bits(preds)) < min(k_positions):
+                if not preds or max(pos[v] for v in bits(preds)) < min(k_positions):
                     for x in _prefix_intersections(vo, k):
                         assert not sx.is_succ_exchangeable(vinst, x, k), (seed, bin(k))
                     checked_sets += 1
-                if not succs or min(pos[v] for v in _bits(succs)) > max(k_positions):
+                if not succs or min(pos[v] for v in bits(succs)) > max(k_positions):
                     for x in _prefix_intersections(vo, k):
                         assert not sx.is_pred_exchangeable(vinst, x, k), (seed, bin(k))
                     checked_sets += 1
@@ -260,13 +249,6 @@ def test_criterion_5_optimal_prefixes_non_exchangeable():
         f"\nACCEPTANCE 5: PASS optimal-prefix non-exchangeability on "
         f"{checked_instances} instances, {checked_sets} hypothesis-satisfying sets"
     )
-
-
-def _bits(m):
-    while m:
-        b = m & -m
-        m ^= b
-        yield b.bit_length() - 1
 
 
 def _prefix_intersections(ordering, k):
@@ -312,7 +294,7 @@ def test_criterion_7_no_false_pruning():
     # half window
     for seed in range(20):
         inst = w_heavy_instance(seed)
-        vinst, ctx, vo, _ = _consistent_setup(inst)
+        vinst, ctx, vo, _ = consistent_setup(inst)
         assert ctx.whalf_ab or ctx.whalf_cd, seed
         side = "AB" if ctx.whalf_ab.bit_count() >= ctx.whalf_cd.bit_count() else "CD"
         accept, log = _counting_filter(half_case_filter(vinst, ctx, side))
@@ -330,7 +312,7 @@ def test_criterion_7_no_false_pruning():
         nonvacuous = 0
         for seed in range(20):
             inst = builder(seed)
-            vinst, ctx, vo, _ = _consistent_setup(inst)
+            vinst, ctx, vo, _ = consistent_setup(inst)
             accept, log = _counting_filter(quarter_case_filter(vinst, ctx, case)[0])
             _, domain, freeze, _, reverse = quarter_case_filter(vinst, ctx, case)
             for state, lab in labeled_trace(vo, domain, freeze, reverse=reverse):
@@ -342,7 +324,7 @@ def test_criterion_7_no_false_pruning():
     # independent split: consistent guesses rebuild the optimum exactly
     for seed in range(20):
         inst = hub_out_instance(seed)
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         o, c, _ = sx.solve_independent_case(vinst, ctx)
         assert c == vc and o.positions == vo.positions, seed
     print(

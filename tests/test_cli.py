@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from schedexact import build_instance, ordering_cost, validate_ordering
 from schedexact import cli
 from schedexact.cli import main
+from schedexact.gen import generate
 from schedexact.solver import EpsilonConfig, solve
 
 from test_golden import write_instances
@@ -293,6 +294,10 @@ class TestGen:
         assert out == ""
         assert err == "n and tmax must be nonnegative\n"
 
+    def test_library_rejects_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown model 'bogus'"):
+            generate("bogus", 4, 0.5, 9, 1)
+
 
 class TestCount:
     def test_ideals_antichain(self, tmp_path, capsys):
@@ -358,9 +363,12 @@ class TestCount:
 
 # Every documented error input: (argv, exit code, start of stderr). {d} is
 # a directory holding ok.json (a 3-chain), cyc.json (a 2-cycle), bad.json
-# (not JSON), wide.json (17 unconstrained jobs) and inst/ (a copy of ok.json).
+# (not JSON), nofield.json (no precedences), wide.json (17 unconstrained
+# jobs) and inst/ (a copy of ok.json).
 ERROR_INPUTS = {
     "bad-json": (["solve", "--input", "{d}/bad.json"], 1, "malformed instance: invalid JSON"),
+    "missing-field": (["solve", "--input", "{d}/nofield.json"], 1,
+                      "malformed instance: missing instance field 'precedences'\n"),
     "cycle": (["solve", "--input", "{d}/cyc.json"], 2, "infeasible instance: precedence cycle: 0 -> 1 -> 0\n"),
     "jobs-0": (["bench", "--dir", "{d}/inst", "--algos", "dp", "--jobs", "0"], 1,
                "--jobs must be at least 1, got 0\n"),
@@ -395,6 +403,7 @@ def test_error_inputs_exit_with_their_code(tmp_path, capsys, case):
     write_instance(tmp_path, "cyc.json", 2, [1, 1], [[0, 1], [1, 0]])
     write_instance(tmp_path, "wide.json", 17, [1] * 17, [])
     (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "nofield.json").write_text('{"n": 1, "times": [1]}')
     (tmp_path / "inst").mkdir()
     write_instance(tmp_path / "inst", "ok.json", 3, [4, 3, 2], [[0, 1], [1, 2]])
     argv, code, err_start = ERROR_INPUTS[case]

@@ -4,6 +4,7 @@ import pytest
 
 import schedexact as sx
 from schedexact import NotASubset, SetTooLarge
+from schedexact.instance import bits
 
 from conftest import mask, random_instance
 
@@ -184,6 +185,50 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             sx.enumerate_non_exchangeable(inst, 0, "both")
 
+    def test_bad_mode_bound(self):
+        inst = sx.build_instance([1], [])
+        with pytest.raises(ValueError, match="mode must be 'succ' or 'pred'"):
+            sx.non_exchangeable_bound(inst, 0, "both")
+
+
+class TestPredSideOracle:
+    """The pred-side functions against set restatements of their docstrings."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_docstrings_on_every_subset(self, tied):
+        checked = 0
+        for seed in range(200):
+            inst, k = _random_config(seed + 70_000)
+            if tied:  # few distinct times, so the tie-breaks decide
+                inst = sx.Instance(tuple(t % 3 for t in inst.times), inst.pred_masks, inst.succ_masks)
+            t = inst.times
+            pred = [set(bits(m)) for m in inst.pred_masks]
+            succ = [set(bits(m)) for m in inst.succ_masks]
+            kset = set(bits(k))
+            outside_preds = set().union(*(pred[v] for v in kset))
+            for sub in range(k + 1):
+                if sub & ~k:
+                    continue
+                s = set(bits(sub))
+                exch = any(
+                    all(any(t[u] > t[v] for u in s & succ[w]) for w in pred[v])
+                    for v in kset - s
+                )
+                enc = {
+                    max(s & succ[w], key=lambda v: (t[v], -v))
+                    for w in outside_preds
+                    if s & succ[w]
+                }
+                dec = {
+                    v for v in kset
+                    if all(any(t[x] >= t[v] for x in s & succ[w]) for w in pred[v])
+                }
+                assert sx.is_pred_exchangeable(inst, sub, k) == exch, (seed, bin(sub))
+                assert set(bits(sx.encode_pred(inst, sub, k))) == enc, (seed, bin(sub))
+                assert set(bits(sx.decode_pred(inst, sub, k))) == dec, (seed, bin(sub))
+                checked += 1
+        assert checked > 2000
+
 
 class TestPrefixLaw:
     def test_optimal_prefixes_non_exchangeable(self):
@@ -212,13 +257,13 @@ class TestPrefixLaw:
                 if k:
                     preds = sx.pred_set(vinst, k)
                     succs = sx.succ_set(vinst, k)
-                    k_first = min(pos[v] for v in _bits(k))
-                    k_last = max(pos[v] for v in _bits(k))
-                    if preds == 0 or max(pos[v] for v in _bits(preds)) < k_first:
+                    k_first = min(pos[v] for v in bits(k))
+                    k_last = max(pos[v] for v in bits(k))
+                    if preds == 0 or max(pos[v] for v in bits(preds)) < k_first:
                         for x in _prefixes(vo, k):
                             assert not sx.is_succ_exchangeable(vinst, x, k)
                         checked += 1
-                    if succs == 0 or min(pos[v] for v in _bits(succs)) > k_last:
+                    if succs == 0 or min(pos[v] for v in bits(succs)) > k_last:
                         for x in _prefixes(vo, k):
                             assert not sx.is_pred_exchangeable(vinst, x, k)
                         checked += 1
@@ -226,13 +271,6 @@ class TestPrefixLaw:
                     break
                 sub = (sub - 1) & i1
         assert checked > 50
-
-
-def _bits(m):
-    while m:
-        b = m & -m
-        m ^= b
-        yield b.bit_length() - 1
 
 
 def _prefixes(ordering, k):

@@ -12,6 +12,7 @@ from schedexact import (
     Ordering,
     PositionOutOfRange,
 )
+from schedexact.instance import submasks
 
 from conftest import mask, min_cost_by_permutations, random_instance
 
@@ -94,6 +95,19 @@ class TestPredSuccSets:
         small = u & v
         assert sx.pred_set(inst, small) & ~sx.pred_set(inst, u | v) == 0
         assert sx.succ_set(inst, small) & ~sx.succ_set(inst, u | v) == 0
+
+
+class TestSubmasks:
+    @pytest.mark.parametrize("m", [0, 0b1, 0b1011_0100, 0b1_0000_0000_0110])
+    def test_every_subset_once_increasing(self, m):
+        subs = list(submasks(m))
+        assert subs == sorted(set(subs))
+        assert len(subs) == 2 ** m.bit_count()
+        assert all(sub & ~m == 0 for sub in subs)
+        assert subs[0] == 0 and subs[-1] == m
+
+    def test_empty_mask(self):
+        assert list(submasks(0)) == [0]
 
 
 class TestCosts:
@@ -271,6 +285,7 @@ class TestJsonInterface:
             '{"n": 2, "times": [1, 1], "precedences": [[false, true]]}',
             '{"n": 2, "times": [1, 1], "precedences": {"0": 1}}',
             "not json",
+            '{"n": 1, "times": [1]}',
         ],
     )
     def test_malformed_rejected(self, payload):

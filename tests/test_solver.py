@@ -9,10 +9,11 @@ from schedexact import ContradictoryBranch, EpsilonConfig, Infeasible
 from schedexact import dp as dp_module
 from schedexact import paper
 from schedexact.gen import MODELS, generate, to_instance
+from schedexact.instance import bits
 from schedexact.paper import QUARTER_NAMES, _w_refinements, quarter_case_filter
 from schedexact.structure import comparability_graph, greedy_maximal_matching
 
-from conftest import labeled_trace, mask, random_instance
+from conftest import consistent_setup, labeled_trace, mask, random_instance
 
 
 class TestEpsilonConfig:
@@ -92,7 +93,7 @@ class TestQuarterAssignments:
         vinst = var.base
         res = greedy_maximal_matching(comparability_graph(vinst))
         members = sorted(
-            set(_bits(res.matched)) | {var.v_begin, var.v_end}
+            set(bits(res.matched)) | {var.v_begin, var.v_end}
         )
         seen = set()
         for qa in sx.enumerate_quarter_assignments(vinst, members, var.v_begin, var.v_end):
@@ -147,36 +148,22 @@ class TestPPartitions:
         assert p_d == mask(3)
 
 
-def _bits(m):
-    while m:
-        b = m & -m
-        m ^= b
-        yield b.bit_length() - 1
-
-
-def _consistent_setup(inst):
-    norm = sx.normalize(inst)
-    base = norm.base
-    bo, bc = sx.brute_force_optimal(base)
-    vb, ve = bo.sequence[0], bo.sequence[-1]
-    var = next(v for v in sx.endpoint_variants(norm) if v.v_begin == vb and v.v_end == ve)
-    vo, vc = sx.brute_force_optimal(var.base)
-    res = greedy_maximal_matching(comparability_graph(base))
-    ctx = sx.consistent_context(var.base, vb, ve, res.matched, vo)
-    return var.base, ctx, vo, vc
-
-
 class TestHalfCase:
+    def test_bad_side(self):
+        vinst, ctx, _, _ = consistent_setup(sx.build_instance([3, 1, 4, 1, 5, 9, 2, 6], []))
+        with pytest.raises(ValueError, match="side must be 'AB' or 'CD'"):
+            sx.half_case_filter(vinst, ctx, "BC")
+
     def test_vacuous_window_equals_branch_optimum(self):
         inst = sx.build_instance([3, 1, 4, 1, 5, 9, 2, 6], [])
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         o, c, stats = sx.solve_half_case(vinst, ctx, "AB")
         assert c == vc and o.positions == vo.positions
 
     def test_nonempty_window_matches_oracle(self):
         # two antichain jobs forced before a matched hub
         inst = sx.build_instance([5, 1, 1, 9, 8, 7, 6, 4], [(1, 0), (2, 0)])
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         assert ctx.whalf_ab or ctx.whalf_cd
         side = "AB" if ctx.whalf_ab else "CD"
         o, c, _ = sx.solve_half_case(vinst, ctx, side)
@@ -184,7 +171,7 @@ class TestHalfCase:
 
     def test_rejects_overfull_prefix(self):
         inst = sx.build_instance([5, 1, 1, 9, 8, 7, 6, 4], [(1, 0), (2, 0)])
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         acc = sx.half_case_filter(vinst, ctx, "AB")
         n = vinst.n
         w = ctx.whalf_ab
@@ -235,7 +222,7 @@ class TestQuarterCases:
                 inst = hub_out_instance(seed)
             else:
                 inst = hub_in_instance(seed)
-            vinst, ctx, vo, vc = _consistent_setup(inst)
+            vinst, ctx, vo, vc = consistent_setup(inst)
             o, c, _ = sx.solve_quarter_case(vinst, ctx, case)
             assert c == vc and o.positions == vo.positions
             if ctx.p_sets[paper.QUARTER_NAMES.index(case)]:
@@ -244,7 +231,7 @@ class TestQuarterCases:
 
     def test_empty_domain_degenerates(self):
         inst = sx.build_instance([4, 2, 7, 1, 3, 6, 5, 8], [])
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         # quarter B draws from jobs barred from the first quarter; with no
         # matched hub there are none, yet the case still finds the optimum
         assert ctx.p_sets[1] == 0
@@ -256,7 +243,7 @@ class TestQuarterCases:
         # only time-sorted bottom sets survive past the freeze point; swapping
         # a scheduled cheap job for an unscheduled pricier one must be rejected
         inst = sx.build_instance([1, 2, 3, 4, 5, 6, 7, 20], [(i, 7) for i in range(4)])
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         acc, domain, freeze, target, reverse = quarter_case_filter(vinst, ctx, "A")
         assert not reverse and target >= 1
         mutated = 0
@@ -268,8 +255,8 @@ class TestQuarterCases:
             outside = k & ~state
             if not inside or not outside:
                 continue
-            cheap_in = min(_bits(inside), key=lambda v: vinst.times[v])
-            pricey_out = max(_bits(outside), key=lambda v: vinst.times[v])
+            cheap_in = min(bits(inside), key=lambda v: vinst.times[v])
+            pricey_out = max(bits(outside), key=lambda v: vinst.times[v])
             if vinst.times[pricey_out] <= vinst.times[cheap_in]:
                 continue
             swapped = state & ~(1 << cheap_in) | (1 << pricey_out)
@@ -290,7 +277,7 @@ class TestIndependentCase:
                 inst = sx.build_instance(times, edges)
             except sx.CyclicPrecedence:
                 continue
-            vinst, ctx, vo, vc = _consistent_setup(inst)
+            vinst, ctx, vo, vc = consistent_setup(inst)
             o, c, _ = sx.solve_independent_case(vinst, ctx)
             assert c == vc and o.positions == vo.positions
 
@@ -300,7 +287,7 @@ class TestIndependentCase:
         from schedexact.paper import quarter_bounds
 
         inst = sx.build_instance([3, 1, 4, 1, 5, 9, 2, 6], [(0, 5)])
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         n = vinst.n
         bounds = quarter_bounds(n)
         w_masks = ctx.w_masks(include_quarter_guesses=True)
@@ -317,12 +304,12 @@ class TestIndependentCase:
             assert y.bit_count() == quota
             assert y in set(subsets_of_size(grounds[g], quota))
             got = SubsetDP(vinst, offset=lo).visit(y | w_masks[g])
-            expected = sum((n - pos[v] + 1) * vinst.times[v] for v in _bits(content))
+            expected = sum((n - pos[v] + 1) * vinst.times[v] for v in bits(content))
             assert got == expected
 
     def test_infeasible_when_quarter_cannot_fill(self):
         inst = sx.build_instance([4, 2, 7, 1, 3, 6, 5, 8], [])
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         from dataclasses import replace
 
         starved = replace(ctx, wq_b=0, wq_c=0, p_sets=(0, 0, 0, 0))
@@ -358,7 +345,7 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_strategy_stats(self, name):
-        vinst, ctx, vo, vc = _consistent_setup(sx.build_instance(*self.INSTANCES[name]))
+        vinst, ctx, vo, vc = consistent_setup(sx.build_instance(*self.INSTANCES[name]))
         cost, pinned = self.PINNED[name]
         assert vc == cost
         got = {"independent": self._stats(sx.solve_independent_case(vinst, ctx))}
@@ -372,7 +359,7 @@ class TestPinnedCounts:
     def test_shared_memos_report_only_new_states(self, name):
         # the four per-quarter memos count the empty state from construction;
         # a second identical call adds no state but reports the full tables
-        vinst, ctx, _, _ = _consistent_setup(sx.build_instance(*self.INSTANCES[name]))
+        vinst, ctx, _, _ = consistent_setup(sx.build_instance(*self.INSTANCES[name]))
         expanded, _, peak = self.PINNED[name][1]["independent"]
         memos = paper._quarter_memos(vinst)
         assert sum(len(m.cost) for m in memos) == 4
@@ -504,7 +491,7 @@ class TestSolve:
             vo, _ = sx.brute_force_optimal(vinst)
             res = greedy_maximal_matching(comparability_graph(base))
             ctx = sx.consistent_context(vinst, vb, ve, res.matched, vo)
-            members = sorted(set(_bits(ctx.m_set)))
+            members = sorted(set(bits(ctx.m_set)))
             target = tuple((vo.positions[v] - 1) // (vinst.n // 4) for v in members)
             found = [
                 qa
@@ -518,7 +505,7 @@ class TestSolve:
             m_ab, m_cd = qa.half_masks()
             ctx_half = paper._half_split(vinst, ctx.m_set, m_ab, m_cd)
             w_half_q = [0, 0, 0, 0]
-            for v in _bits(ctx_half.whalf_ab | ctx_half.whalf_cd):
+            for v in bits(ctx_half.whalf_ab | ctx_half.whalf_cd):
                 w_half_q[(vo.positions[v] - 1) // (vinst.n // 4)] |= 1 << v
             w_half_q = tuple(w_half_q)
             m_quarter_of = dict(zip(qa.members, qa.quarters))
@@ -535,7 +522,7 @@ class TestSolve:
         # every strategy result on any consistent-or-not branch is a real
         # schedule, hence never beats the oracle
         inst = random_instance(4, 7, 0.2)
-        vinst, ctx, vo, vc = _consistent_setup(inst)
+        vinst, ctx, vo, vc = consistent_setup(inst)
         for case in QUARTER_NAMES:
             o, c, _ = sx.solve_quarter_case(vinst, ctx, case)
             assert c >= vc
@@ -607,7 +594,7 @@ class TestBranchInvariants:
                 vinst = var.base
                 m_set = matched | 1 << var.v_begin | 1 << var.v_end
                 for qa in sx.enumerate_quarter_assignments(
-                    vinst, list(_bits(m_set)), var.v_begin, var.v_end
+                    vinst, list(bits(m_set)), var.v_begin, var.v_end
                 ):
                     m_ab, m_cd = qa.half_masks()
                     w_ab, w_cd = sx.compute_w_half(vinst, vinst.full_mask ^ m_set, m_ab, m_cd)
@@ -703,7 +690,7 @@ class TestBugTraps:
 
     @staticmethod
     def _chain_split():
-        vinst, ctx, _, _ = _consistent_setup(
+        vinst, ctx, _, _ = consistent_setup(
             sx.build_instance([5, 3, 8, 1, 4, 2, 7, 6], [(i, i + 1) for i in range(7)])
         )
         return vinst, ctx, paper._quarter_memos(vinst)
