@@ -79,7 +79,6 @@ _LAZY = {
         (
             "BranchContext",
             "ContradictoryBranch",
-            "QuarterAssignment",
             "compute_p_partitions",
             "compute_w_half",
             "consistent_context",

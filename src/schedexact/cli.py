@@ -1,8 +1,9 @@
 """Command-line surface: solve, verify, gen, count, bench.
 
 Exit codes: 0 success, 1 malformed input or flags (a negative --wq-cap
-or --cap, or an --epsN with a zero denominator, included), an unwritable
-output path, or an instance above the brute-force cap (solve, bench), the
+or --cap, an --epsN with a zero denominator, and a bench --algos list that
+is empty or names an algorithm twice included), an unwritable output
+path, or an instance above the brute-force cap (solve, bench), the
 ideal-counting cap or the --K enumeration cap (count), 2 infeasible or
 cyclic instance, 3 invalid ordering (verify), 4 violated counting bound
 (count), 5 cost mismatch between algorithms (bench).
@@ -316,6 +317,9 @@ def cmd_bench(args) -> int:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos or len(set(algos)) < len(algos):
+        print(f"--algos must list at least one algorithm, none twice, got {args.algos!r}", file=sys.stderr)
+        return 1
     for a in algos:
         if a not in ALGOS:
             print(f"unknown algorithm {a!r}", file=sys.stderr)

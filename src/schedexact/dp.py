@@ -1,13 +1,20 @@
 """Memoized dynamic programming over job subsets with pluggable pruning.
 
 Every DP in the package runs on one engine, SubsetDP. States are
-bitmasks. The forward recursion grows a schedule prefix: the best cost of
-a set X picks which maximal element of X goes last, at position
-offset + |X|. The reverse recursion mirrors it over schedule suffixes,
-removing minimal elements placed at position n - offset - |X| + 1. Because
-every transition strips an extreme element, forward states are always
-downward closed and reverse states upward closed; no explicit closure
-test is needed inside the recursion.
+bitmasks. The recursion grows a schedule prefix: the best cost of a set X
+picks which maximal element of X goes last, at position offset + |X|.
+Because every transition strips a maximal element, states are always
+downward closed; no explicit closure test is needed inside the recursion.
+
+A DP over schedule suffixes is this one on instance.mirror(inst), which
+swaps predecessors and successors and negates times. A suffix state X of
+size s ends at position n - offset and puts its first job v at position
+n - offset - s + 1, at cost (offset + s) * t(v). On the mirror removing v
+costs (n - offset - s + 1) * (-t(v)), which is that cost minus
+(n + 1) * t(v). By induction every state costs its suffix cost minus
+(n + 1) * t(X): the same shift for every choice at X, so the same job
+wins and the same states are visited. Read backwards, the mirror's
+sequence is the suffix schedule.
 
 An acceptance predicate may reject states; rejected states contribute
 infinity and their subtrees are never expanded, which is where all the
@@ -15,7 +22,7 @@ pruning leverage comes from.
 
 A label set L travels with the state. While |state| <= freeze_size, L
 must equal state & label_domain and shrinks with it; above the freeze
-size L is pinned and its members cannot be removed as the extreme
+size L is pinned and its members cannot be removed as the maximal
 element. With label_domain = 0 the label is always empty and the engine
 is the plain subset DP.
 
@@ -85,10 +92,9 @@ class SubsetDP:
 
     A key is a (state, label) pair; label_domain=0 gives the unlabeled DP,
     whose label is always 0. Removing job v from a state of size s costs
-    (n - offset - s + 1) * t(v) forward and (offset + s) * t(v) in reverse:
-    a forward schedule of the state starts at absolute position offset + 1,
-    a reverse one ends at n - offset. The tables persist across visit()
-    calls, so one engine serves repeated visits from different top states.
+    (n - offset - s + 1) * t(v): a schedule of the state starts at absolute
+    position offset + 1. The tables persist across visit() calls, so one
+    engine serves repeated visits from different top states.
     """
 
     def __init__(
@@ -98,14 +104,12 @@ class SubsetDP:
         *,
         label_domain: int = 0,
         freeze_size: Optional[int] = None,
-        reverse: bool = False,
         offset: int = 0,
     ):
         n = inst.n
         freeze = n if freeze_size is None else freeze_size
         self.n = n
         self.freeze = freeze
-        self.reverse = reverse
         # Every visited key, with None for no surviving path; the rejected
         # and invalid keys among them are counted apart.
         self.cost: dict[int, int | None] = {}
@@ -117,9 +121,9 @@ class SubsetDP:
             # state, so it is tabled (and counted) from the start.
             cost[0] = 0
         # mult[s] multiplies t(v) when v is removed from a state of size s.
-        mult = range(offset, offset + n + 1) if reverse else range(n - offset + 1, -offset, -1)
+        mult = range(n - offset + 1, -offset, -1)
         times = inst.times
-        blockers = inst.pred_masks if reverse else inst.succ_masks
+        blockers = inst.succ_masks
         full = inst.full_mask
         # A key is label << n | state. Removing job v flips its state bit,
         # and its label bit too while the label still follows the state.
@@ -192,8 +196,7 @@ class SubsetDP:
             if x.bit_count() <= self.freeze:
                 lab &= ~b
             x ^= b
-        if not self.reverse:
-            seq.reverse()
+        seq.reverse()
         return seq
 
     def stats(self) -> DpStats:
@@ -219,7 +222,6 @@ def solve_filtered_labeled(
     *,
     freeze_size: Optional[int] = None,
     label_target: Optional[int] = None,
-    reverse: bool = False,
 ) -> tuple[Ordering, int, DpStats]:
     """Labeled subset DP over (state, label) pairs.
 
@@ -228,9 +230,7 @@ def solve_filtered_labeled(
     labels enumerate the subsets of label_domain of size label_target.
     """
     full = inst.full_mask
-    dp = SubsetDP(
-        inst, accept, label_domain=label_domain, freeze_size=freeze_size, reverse=reverse
-    )
+    dp = SubsetDP(inst, accept, label_domain=label_domain, freeze_size=freeze_size)
     if inst.n <= dp.freeze:
         starts: Iterable[int] = [full & label_domain]
     elif label_target is None:

@@ -26,15 +26,17 @@ pricier swap too), and with each label set L of K replaced by K - L:
     decode_pred(I, Z, K)          == K - decode_succ(mirror, Z, K)
 
 The (t, v)-minimum on the mirror is the (t, -v)-maximum on I, so the
-tie-breaks agree. Negative times are no valid instance anywhere else, so
-the mirror is built inside this module and never returned.
+tie-breaks agree. The mirror is instance.mirror, which the quarter cases
+C and D of the paper route share. Its negative times are safe: only
+SubsetDP and this module read them, and every schedule found on a
+mirror is recosted on the original instance.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .instance import Instance, bits, submasks, succ_set
+from .instance import Instance, bits, mirror, submasks, succ_set
 
 
 class NotASubset(ValueError):
@@ -48,12 +50,6 @@ class SetTooLarge(ValueError):
 def _require_subset(l: int, k: int) -> None:
     if l & ~k:
         raise NotASubset(f"label set {l:#x} is not contained in ground set {k:#x}")
-
-
-def _mirror(inst: Instance) -> Instance:
-    """The reversed order with negated times: predecessors and successors
-    swap, and so do cheaper and pricier."""
-    return Instance(tuple(-t for t in inst.times), inst.succ_masks, inst.pred_masks)
 
 
 def is_succ_exchangeable(inst: Instance, l: int, k: int) -> bool:
@@ -78,7 +74,7 @@ def is_pred_exchangeable(inst: Instance, l: int, k: int) -> bool:
     """True iff some v in k outside l has, for each predecessor w, a pricier
     member of l among w's successors."""
     _require_subset(l, k)
-    return is_succ_exchangeable(_mirror(inst), k ^ l, k)
+    return is_succ_exchangeable(mirror(inst), k ^ l, k)
 
 
 def encode_succ(inst: Instance, y: int, k: int) -> int:
@@ -114,14 +110,14 @@ def encode_pred(inst: Instance, y: int, k: int) -> int:
     """Fingerprint: per outside predecessor w, the priciest member of y among
     w's successors. Contained in y."""
     _require_subset(y, k)
-    return encode_succ(_mirror(inst), k ^ y, k)
+    return encode_succ(mirror(inst), k ^ y, k)
 
 
 def decode_pred(inst: Instance, z: int, k: int) -> int:
     """Jobs of k whose every predecessor w has a fingerprint entry among its
     successors at least as pricey. Contains z."""
     _require_subset(z, k)
-    return k ^ decode_succ(_mirror(inst), z, k)
+    return k ^ decode_succ(mirror(inst), z, k)
 
 
 def _oriented(inst: Instance, k: int, mode: str) -> tuple[Instance, int]:
@@ -130,7 +126,7 @@ def _oriented(inst: Instance, k: int, mode: str) -> tuple[Instance, int]:
     if mode == "succ":
         return inst, 0
     if mode == "pred":
-        return _mirror(inst), k
+        return mirror(inst), k
     raise ValueError(f"mode must be 'succ' or 'pred', got {mode!r}")
 
 

@@ -195,6 +195,13 @@ def succ_set(inst: Instance, jobs: int) -> int:
     return out
 
 
+def mirror(inst: Instance) -> Instance:
+    """The instance read from the end of the schedule: predecessors and
+    successors swap, and so do cheaper and pricier, as times are negated.
+    Positions p become n + 1 - p, and costs fall by (n + 1) * sum(times)."""
+    return Instance(tuple(-t for t in inst.times), inst.succ_masks, inst.pred_masks)
+
+
 def job_cost(inst: Instance, v: int, i: int) -> int:
     """Exact cost of job v at 1-based position i: (n - i + 1) * t(v)."""
     if not 1 <= i <= inst.n:

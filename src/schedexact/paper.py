@@ -33,9 +33,9 @@ inside one: each group of jobs is paired with the smallest position
 coefficients of the quarters it may occupy.
 
 Quarters are indexed 0..3 and named A..D. Position ranges are
-(0, n/4], (n/4, n/2], (n/2, 3n/4], (3n/4, n]. Cases A and B run the
-forward DP; cases C and D run the reverse DP over schedule suffixes,
-where their label sets are actually trackable.
+(0, n/4], (n/4, n/2], (n/2, 3n/4], (3n/4, n]. Cases C and D are cases
+B and A read from the end of the schedule, where their label sets are
+trackable: they run the same filter and DP on instance.mirror.
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ from .dp import (
     solve_filtered_labeled,
     subsets_of_size,
 )
-from .exchange import is_pred_exchangeable, is_succ_exchangeable
+from .exchange import is_succ_exchangeable
 from .instance import (
     Instance,
     NormalizedInstance,
     Ordering,
     bits,
     endpoint_variants,
+    mirror,
     normalize,
     ordering_cost,
     pred_set,
@@ -78,24 +79,6 @@ class ContradictoryBranch(RuntimeError):
 
 # Quarter g draws its eligible jobs from p_sets[g] (A, notA, notD, D).
 QUARTER_NAMES = "ABCD"
-
-
-@dataclass(frozen=True)
-class QuarterAssignment:
-    """A quarter label for every matched or endpoint job."""
-
-    members: tuple[int, ...]
-    quarters: tuple[int, ...]
-
-    def masks(self) -> tuple[int, int, int, int]:
-        out = [0, 0, 0, 0]
-        for v, q in zip(self.members, self.quarters):
-            out[q] |= 1 << v
-        return tuple(out)
-
-    def half_masks(self) -> tuple[int, int]:
-        a, b, c, d = self.masks()
-        return a | b, c | d
 
 
 @dataclass(frozen=True)
@@ -140,32 +123,38 @@ def quarter_bounds(n: int) -> tuple[tuple[int, int], ...]:
     return ((0, q), (q, 2 * q), (2 * q, 3 * q), (3 * q, n))
 
 
+def _quarter_range(inst: Instance, v: int, placed, lo: int, hi: int) -> range:
+    """The quarters lo..hi that job v may take beside the jobs placed in
+    each quarter: none before a predecessor's, none after a successor's."""
+    for q, m in enumerate(placed):
+        if m & inst.pred_masks[v]:
+            lo = max(lo, q)
+        if m & inst.succ_masks[v]:
+            hi = min(hi, q)
+    return range(lo, hi + 1)
+
+
 def enumerate_quarter_assignments(
     inst: Instance, members, v_begin: int, v_end: int
-) -> Iterator[QuarterAssignment]:
-    """All order-consistent quarter labelings of the given jobs.
+) -> Iterator[tuple[int, int, int, int]]:
+    """All order-consistent quarter labelings of the given jobs, each as
+    the masks of its (A, B, C, D) members.
 
     Comparable members never go to a later quarter than their successors;
     the begin job is pinned to A, the end job to D. Members are labelled in
-    increasing order, each quarter ascending between the latest quarter of
-    its labelled predecessors and the earliest of its labelled successors.
+    increasing order, each through its _quarter_range, ascending.
     """
-    members = tuple(sorted(members))
+    members = sorted(members)
     placed = [0, 0, 0, 0]
-    chosen: list[int] = []
 
-    def walk(i: int) -> Iterator[QuarterAssignment]:
+    def walk(i: int) -> Iterator[tuple[int, int, int, int]]:
         if i == len(members):
-            yield QuarterAssignment(members, tuple(chosen))
+            yield tuple(placed)
             return
         v = members[i]
-        lo = max([3 if v == v_end else 0] + [q for q in range(4) if placed[q] & inst.pred_masks[v]])
-        hi = min([0 if v == v_begin else 3] + [q for q in range(4) if placed[q] & inst.succ_masks[v]])
-        for q in range(lo, hi + 1):
+        for q in _quarter_range(inst, v, placed, 3 if v == v_end else 0, 0 if v == v_begin else 3):
             placed[q] |= 1 << v
-            chosen.append(q)
             yield from walk(i + 1)
-            chosen.pop()
             placed[q] ^= 1 << v
 
     yield from walk(0)
@@ -238,11 +227,15 @@ def solve_half_case(inst: Instance, ctx: BranchContext, side: str):
 def quarter_case_filter(inst: Instance, ctx: BranchContext, case: str):
     """Build the labeled-DP configuration for one quarter case.
 
-    Returns (accept, label_domain, freeze_size, label_target, reverse).
+    Returns (accept, label_domain, freeze_size, label_target, mirrored).
     The label tracks which eligible jobs sit inside the case's quarter;
     past the freeze size it is pinned and the scheduled eligible jobs
     outside it must pass the exchange-pruning test against the rest of
     the eligible pool.
+
+    Cases C and D are mirrored: accept is for the DP on mirror(inst), whose
+    states are suffixes of inst. It reads the quarter windows in reverse,
+    which the quarter bounds allow, as n is a multiple of four.
 
     accept never counts the label: solve_filtered_labeled starts every
     visit with a label of exactly label_target = p_val jobs, which stays
@@ -251,46 +244,47 @@ def quarter_case_filter(inst: Instance, ctx: BranchContext, case: str):
     label.
     """
     n = ctx.n
-    full = inst.full_mask
     assert ctx.p_sets is not None and ctx.p_counts is not None
     gamma = QUARTER_NAMES.index(case)
     domain = ctx.p_sets[gamma]
     p_val = ctx.p_counts[gamma]
     assert p_val is not None
-    forward = case in ("A", "B")
+    mirrored = case in ("C", "D")
     freeze = n // 4 if case in ("A", "D") else n // 2
     w_masks = ctx.w_masks()
+    if mirrored:
+        inst, w_masks = mirror(inst), w_masks[::-1]
     bounds = quarter_bounds(n)
-    exch = is_succ_exchangeable if forward else is_pred_exchangeable
     cache: dict[tuple[int, int], bool] = {}
 
     def accept(state: int, lab: int) -> bool:
         s = state.bit_count()
-        if forward:
-            xm, xs = state, s
-        else:
-            xm, xs = full ^ state, n - s
-        if not _conformance(xs, xm, w_masks, bounds):
+        if not _conformance(s, state, w_masks, bounds):
             return False
         if s <= freeze:
             return True
         k = domain & ~lab
-        cand = xm & k
-        key = (k, cand)
+        key = (k, state & k)
         hit = cache.get(key)
         if hit is None:
-            hit = exch(inst, cand, k)
-            cache[key] = hit
+            hit = cache[key] = is_succ_exchangeable(inst, key[1], k)
         return not hit
 
-    return accept, domain, freeze, p_val, not forward
+    return accept, domain, freeze, p_val, mirrored
 
 
 def solve_quarter_case(inst: Instance, ctx: BranchContext, case: str):
-    accept, domain, freeze, target, reverse = quarter_case_filter(inst, ctx, case)
-    return solve_filtered_labeled(
-        inst, domain, accept, freeze_size=freeze, label_target=target, reverse=reverse
+    """The quarter case's labeled DP; cases C and D run it on the mirror
+    and map its ordering and cost back to inst."""
+    accept, domain, freeze, target, mirrored = quarter_case_filter(inst, ctx, case)
+    if not mirrored:
+        return solve_filtered_labeled(inst, domain, accept, freeze_size=freeze, label_target=target)
+    ordering, cost, stats = solve_filtered_labeled(
+        mirror(inst), domain, accept, freeze_size=freeze, label_target=target
     )
+    n = inst.n
+    flipped = Ordering(tuple(n + 1 - p for p in ordering.positions))
+    return flipped, cost + (n + 1) * sum(inst.times), stats
 
 
 def conformance_filter(inst: Instance, ctx: BranchContext) -> Callable[[int], bool]:
@@ -449,23 +443,20 @@ def _best_split(t_ab, t_cd, fixed_ab: int, fixed_cd: int, shared: int, k: int):
 
 
 def _w_refinements(
-    inst: Instance, w_ab: int, w_cd: int, m_quarter_of: dict[int, int]
+    inst: Instance, w_ab: int, w_cd: int, m_q: tuple[int, int, int, int]
 ) -> Iterator[tuple[int, int, int, int]]:
-    """All consistent quarter labelings of the forced-half jobs.
+    """All quarter labelings of the forced-half jobs consistent with the
+    quarter assignment m_q of the guessed jobs.
 
     Every job gets at least one quarter: a matched predecessor never sits
     in a later quarter than a matched successor, since the quarter
-    assignment is order-consistent.
+    assignment is order-consistent. The forced-half jobs do not constrain
+    one another here.
     """
-    choices: list[tuple[int, tuple[int, ...]]] = []
-    for mask, opts in ((w_ab, (0, 1)), (w_cd, (2, 3))):
-        for v in bits(mask):
-            lo = max((m_quarter_of.get(u, 0) for u in bits(inst.pred_masks[v])), default=0)
-            hi = min((m_quarter_of.get(u, 3) for u in bits(inst.succ_masks[v])), default=3)
-            choices.append((v, tuple(q for q in opts if lo <= q <= hi)))
-    for assign in product(*(a for _, a in choices)):
+    jobs = [(v, lo, hi) for mask, lo, hi in ((w_ab, 0, 1), (w_cd, 2, 3)) for v in bits(mask)]
+    for assign in product(*(_quarter_range(inst, v, m_q, lo, hi) for v, lo, hi in jobs)):
         out = [0, 0, 0, 0]
-        for (v, _), q in zip(choices, assign):
+        for (v, _, _), q in zip(jobs, assign):
             out[q] |= 1 << v
         yield tuple(out)
 
@@ -728,9 +719,9 @@ def _solve_variant(
     m_set = matched_mask | (1 << vb) | (1 << ve)
     memos = _quarter_memos(vinst)
 
-    groups: dict[tuple[int, int], list[QuarterAssignment]] = {}
-    for qa in enumerate_quarter_assignments(vinst, bits(m_set), vb, ve):
-        groups.setdefault(qa.half_masks(), []).append(qa)
+    groups: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for m_q in enumerate_quarter_assignments(vinst, bits(m_set), vb, ve):
+        groups.setdefault((m_q[0] | m_q[1], m_q[2] | m_q[3]), []).append(m_q)
 
     for (m_ab, m_cd), assignments in sorted(groups.items()):
         ctx_half = _half_split(vinst, m_set, m_ab, m_cd)
@@ -752,11 +743,9 @@ def _solve_variant(
                 side = "AB" if ab_big else "CD"
             search.run(vinst, "half", solve_half_case, vinst, ctx_half, side)
             continue
-        for qa in assignments:
-            m_q = qa.masks()
+        for m_q in assignments:
             p_sets = compute_p_partitions(vinst, free, m_q[1], m_q[2])
-            m_quarter_of = dict(zip(qa.members, qa.quarters))
-            for w_half_q in _w_refinements(vinst, w_ab, w_cd, m_quarter_of):
+            for w_half_q in _w_refinements(vinst, w_ab, w_cd, m_q):
                 ctx = _refine(vinst, ctx_half, m_q, w_half_q, p_sets)
                 if ctx is None or _branch_bound(vinst, ctx) > search.bound():
                     search.prune()

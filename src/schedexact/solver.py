@@ -215,9 +215,9 @@ def solve(
 
 
 # perfbench/spans.py wraps these paper-route callees by this module's name.
-# They resolve here, from paper, but paper calls its own bindings, so the
-# wrappers see none of those calls. Re-pointing the tracer at paper (ROADMAP
-# item 1) deletes this forwarder.
+# They resolve here, from paper (the exchange tests from exchange), but paper
+# calls its own bindings, so the wrappers see none of those calls.
+# Re-pointing the tracer at paper (ROADMAP item 1) deletes this forwarder.
 _TRACED_IN_PAPER = frozenset((
     "solve_half_case",
     "solve_quarter_case",
@@ -233,7 +233,7 @@ _TRACED_IN_PAPER = frozenset((
 
 def __getattr__(name: str):
     if name in _TRACED_IN_PAPER:
-        from . import paper
+        from . import exchange, paper
 
-        return getattr(paper, name)
+        return getattr(exchange if name.endswith("_exchangeable") else paper, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -377,6 +377,12 @@ ERROR_INPUTS = {
                         "--wq-cap must be at least 0, got -1\n"),
     "empty-order-token": (["verify", "--input", "{d}/ok.json", "--order", "0,,1"], 1,
                           "malformed ordering '0,,1'\n"),
+    "algos-empty": (["bench", "--dir", "{d}/inst", "--algos", ""], 1,
+                    "--algos must list at least one algorithm, none twice, got ''\n"),
+    "algos-comma": (["bench", "--dir", "{d}/inst", "--algos", ","], 1,
+                    "--algos must list at least one algorithm, none twice, got ','\n"),
+    "algos-twice": (["bench", "--dir", "{d}/inst", "--algos", "dp,dp"], 1,
+                    "--algos must list at least one algorithm, none twice, got 'dp,dp'\n"),
     "k-twice": (["count", "--input", "{d}/wide.json", "--what", "non-exch-succ", "--K", "0,0"], 1,
                 "job 0 listed twice\n"),
     "k-out-of-range": (["count", "--input", "{d}/wide.json", "--what", "non-exch-pred", "--K", "0,17"], 1,

@@ -7,6 +7,7 @@ import pytest
 import schedexact as sx
 from schedexact import Infeasible, Ordering
 from schedexact.dp import SubsetDP
+from schedexact.instance import bits, mirror
 
 from conftest import all_subset_ideals, labeled_trace, mask, prefix_trace, random_instance
 
@@ -88,15 +89,18 @@ class TestSolveFiltered:
             c_tight = None
         assert c_tight is None or c_lax <= c_tight
 
-    def test_reverse_matches_forward(self):
+    def test_mirror_matches_forward(self):
+        # the DP on the mirror, shifted by (n + 1) * sum(t) and read
+        # backwards, is an optimum of the instance
         for seed in range(6):
             inst = random_instance(seed + 60, 6, 0.4)
             _, c_fwd, _ = sx.solve_filtered(inst)
-            dp = SubsetDP(inst, reverse=True)
-            c_rev = dp.visit(inst.full_mask)
-            o_rev = Ordering.from_sequence(dp.sequence(inst.full_mask))
-            assert c_fwd == c_rev
-            assert sx.validate_ordering(inst, o_rev)
+            dp = SubsetDP(mirror(inst))
+            c_mir = dp.visit(inst.full_mask) + (inst.n + 1) * sum(inst.times)
+            o_mir = Ordering.from_sequence(dp.sequence(inst.full_mask)[::-1])
+            assert c_fwd == c_mir
+            assert sx.validate_ordering(inst, o_mir)
+            assert sx.ordering_cost(inst, o_mir) == c_fwd
 
     def test_does_not_hard_fail_at_moderate_n(self):
         chain = sx.build_instance(list(range(40, 0, -1)), [(i, i + 1) for i in range(39)])
@@ -115,22 +119,38 @@ def _extensions(inst, z):
 
 
 class TestSubsetDP:
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_offset_cost_is_the_coefficient_form(self, reverse):
-        # a subset z placed from absolute position offset + 1 (or, in
-        # reverse, ending at n - offset): the i-th job of z costs
-        # (n - offset - i + 1) * t, resp. (offset + |z| - i + 1) * t
+    def test_offset_cost_is_the_coefficient_form(self):
+        # a subset z placed from absolute position offset + 1: the i-th job
+        # of z costs (n - offset - i + 1) * t
         inst = random_instance(7, 8, 0.3)
         n, z, offset = inst.n, mask(0, 2, 3, 5, 6), 2
-        size = z.bit_count()
-        first = offset + 1 if not reverse else n - offset - size + 1
+        first = offset + 1
         brute = min(
             sum((n - (first + i) + 1) * inst.times[v] for i, v in enumerate(perm))
             for perm in _extensions(inst, z)
         )
-        dp = SubsetDP(inst, offset=offset, reverse=reverse)
+        dp = SubsetDP(inst, offset=offset)
         assert dp.visit(z) == brute
         seq = dp.sequence(z)
+        assert tuple(seq) in set(_extensions(inst, z))
+        assert sum((n - (first + i) + 1) * inst.times[v] for i, v in enumerate(seq)) == brute
+
+    @pytest.mark.parametrize("offset", [0, 2])
+    def test_mirror_cost_is_the_shifted_suffix_form(self, offset):
+        # a subset z ending at absolute position n - offset: the i-th job of
+        # z costs (offset + |z| - i + 1) * t. The engine on the mirror
+        # reports that minimum minus (n + 1) * t(z), and its sequence,
+        # read backwards, orders z
+        inst = random_instance(7, 8, 0.3)
+        n, z = inst.n, mask(0, 2, 3, 5, 6)
+        first = n - offset - z.bit_count() + 1
+        brute = min(
+            sum((n - (first + i) + 1) * inst.times[v] for i, v in enumerate(perm))
+            for perm in _extensions(inst, z)
+        )
+        dp = SubsetDP(mirror(inst), offset=offset)
+        assert dp.visit(z) + (n + 1) * sum(inst.times[v] for v in bits(z)) == brute
+        seq = dp.sequence(z)[::-1]
         assert tuple(seq) in set(_extensions(inst, z))
         assert sum((n - (first + i) + 1) * inst.times[v] for i, v in enumerate(seq)) == brute
 
@@ -234,20 +254,26 @@ class TestSolveFilteredLabeled:
                 best = c if best is None else min(best, c)
             assert best == bc
 
-    def test_reverse_labeled_equals_brute(self):
+    def test_mirror_labeled_equals_brute(self):
+        # labels over schedule suffixes: the labeled DP on the mirror, its
+        # positions flipped and its cost shifted by (n + 1) * sum(t)
         for seed in range(5):
             inst = random_instance(seed + 90, 8, 0.25)
-            domain = mask(1, 4, 6)
+            n, domain = inst.n, mask(1, 4, 6)
+            shift = (n + 1) * sum(inst.times)
             bo, bc = sx.brute_force_optimal(inst)
             best = None
             for target in range(0, 4):
                 try:
-                    _, c, _ = sx.solve_filtered_labeled(
-                        inst, domain, None, freeze_size=2, label_target=target, reverse=True
+                    o, c, _ = sx.solve_filtered_labeled(
+                        mirror(inst), domain, None, freeze_size=2, label_target=target
                     )
                 except Infeasible:
                     continue
-                best = c if best is None else min(best, c)
+                flipped = Ordering(tuple(n + 1 - p for p in o.positions))
+                assert sx.validate_ordering(inst, flipped)
+                assert sx.ordering_cost(inst, flipped) == c + shift
+                best = c + shift if best is None else min(best, c + shift)
             assert best == bc
 
     def test_label_target_required_when_frozen(self):

@@ -24,7 +24,7 @@ EXPORTS = (
     "BranchContext", "ComparabilityGraph", "ContradictoryBranch", "CyclicPrecedence",
     "DpStats", "EpsilonConfig", "IndexOutOfRange", "Infeasible", "Instance",
     "InstanceTooLarge", "InternalInconsistency", "MatchingResult", "NormalizedInstance",
-    "NotABijection", "NotASubset", "Ordering", "PositionOutOfRange", "QuarterAssignment",
+    "NotABijection", "NotASubset", "Ordering", "PositionOutOfRange",
     "SetTooLarge", "SolveReport", "brute_force_optimal", "build_instance",
     "comparability_graph", "compute_p_partitions", "compute_w_half", "consistent_context",
     "count_order_ideals", "decode_pred", "decode_succ", "dp", "encode_pred", "encode_succ",

@@ -54,16 +54,16 @@ class TestEpsilonConfig:
         assert cfg.dispatch_warnings()  # outside the provable regime
 
 
+def _quarter_of(m_q) -> dict[int, int]:
+    """Job -> quarter of an assignment given as (A, B, C, D) masks."""
+    return {v: g for g, m in enumerate(m_q) for v in bits(m)}
+
+
 class TestQuarterAssignments:
     def test_endpoints_only(self):
-        inst = sx.normalize(sx.build_instance([1, 2, 3, 4], [])).base
         var = next(sx.endpoint_variants(sx.normalize(sx.build_instance([1, 2, 3, 4], []))))
         got = list(sx.enumerate_quarter_assignments(var.base, [var.v_begin, var.v_end], var.v_begin, var.v_end))
-        assert len(got) == 1
-        qa = got[0]
-        masks = qa.masks()
-        assert masks[0] == 1 << var.v_begin
-        assert masks[3] == 1 << var.v_end
+        assert got == [(1 << var.v_begin, 0, 0, 1 << var.v_end)]
 
     def test_pair_count_is_ten(self):
         # one comparable pair unrelated to the pinned endpoints: the pair has
@@ -75,8 +75,9 @@ class TestQuarterAssignments:
             sx.enumerate_quarter_assignments(var.base, [0, 1, 2, 3], 0, 1)
         )
         assert len(got) == 10
-        for qa in got:
-            q = dict(zip(qa.members, qa.quarters))
+        for m_q in got:
+            q = _quarter_of(m_q)
+            assert sorted(q) == [0, 1, 2, 3]
             assert q[2] <= q[3]
 
     def test_free_member_four_options(self):
@@ -95,10 +96,11 @@ class TestQuarterAssignments:
         members = sorted(
             set(bits(res.matched)) | {var.v_begin, var.v_end}
         )
-        seen = set()
-        for qa in sx.enumerate_quarter_assignments(vinst, members, var.v_begin, var.v_end):
-            seen.add(qa.quarters)
-            q = dict(zip(qa.members, qa.quarters))
+        seen = []
+        for m_q in sx.enumerate_quarter_assignments(vinst, members, var.v_begin, var.v_end):
+            seen.append(m_q)
+            q = _quarter_of(m_q)
+            assert sorted(q) == members  # each member in exactly one quarter
             for u in members:
                 for v in members:
                     if u != v and (vinst.succ_masks[u] >> v) & 1:
@@ -244,10 +246,10 @@ class TestQuarterCases:
         # a scheduled cheap job for an unscheduled pricier one must be rejected
         inst = sx.build_instance([1, 2, 3, 4, 5, 6, 7, 20], [(i, 7) for i in range(4)])
         vinst, ctx, vo, vc = consistent_setup(inst)
-        acc, domain, freeze, target, reverse = quarter_case_filter(vinst, ctx, "A")
-        assert not reverse and target >= 1
+        acc, domain, freeze, target, mirrored = quarter_case_filter(vinst, ctx, "A")
+        assert not mirrored and target >= 1
         mutated = 0
-        for state, lab in labeled_trace(vo, domain, freeze, reverse=reverse):
+        for state, lab in labeled_trace(vo, domain, freeze):
             if state.bit_count() <= freeze or (1 << 7) & state:
                 continue
             k = domain & ~lab
@@ -492,27 +494,29 @@ class TestSolve:
             res = greedy_maximal_matching(comparability_graph(base))
             ctx = sx.consistent_context(vinst, vb, ve, res.matched, vo)
             members = sorted(set(bits(ctx.m_set)))
-            target = tuple((vo.positions[v] - 1) // (vinst.n // 4) for v in members)
+            target = [0, 0, 0, 0]
+            for v in members:
+                target[(vo.positions[v] - 1) // (vinst.n // 4)] |= 1 << v
+            target = tuple(target)
             found = [
-                qa
-                for qa in sx.enumerate_quarter_assignments(vinst, members, vb, ve)
-                if qa.quarters == target
+                m_q
+                for m_q in sx.enumerate_quarter_assignments(vinst, members, vb, ve)
+                if m_q == target
             ]
             assert len(found) == 1
             # ... and the search's constructors build consistent_context's branch
             # from it, up to the counts and windows only the ordering knows
-            qa = found[0]
-            m_ab, m_cd = qa.half_masks()
+            m_q = found[0]
+            m_ab, m_cd = m_q[0] | m_q[1], m_q[2] | m_q[3]
             ctx_half = paper._half_split(vinst, ctx.m_set, m_ab, m_cd)
             w_half_q = [0, 0, 0, 0]
             for v in bits(ctx_half.whalf_ab | ctx_half.whalf_cd):
                 w_half_q[(vo.positions[v] - 1) // (vinst.n // 4)] |= 1 << v
             w_half_q = tuple(w_half_q)
-            m_quarter_of = dict(zip(qa.members, qa.quarters))
             assert w_half_q in set(
-                _w_refinements(vinst, ctx_half.whalf_ab, ctx_half.whalf_cd, m_quarter_of)
+                _w_refinements(vinst, ctx_half.whalf_ab, ctx_half.whalf_cd, m_q)
             )
-            built = paper._refine(vinst, ctx_half, qa.masks(), w_half_q)
+            built = paper._refine(vinst, ctx_half, m_q, w_half_q)
             for f in fields(sx.BranchContext):
                 if f.name not in ("p_counts", "wq_b", "wq_c"):
                     assert getattr(built, f.name) == getattr(ctx, f.name), (seed, f.name)
@@ -593,13 +597,12 @@ class TestBranchInvariants:
             for var in sx.endpoint_variants(sx.normalize(inst)):
                 vinst = var.base
                 m_set = matched | 1 << var.v_begin | 1 << var.v_end
-                for qa in sx.enumerate_quarter_assignments(
+                for m_q in sx.enumerate_quarter_assignments(
                     vinst, list(bits(m_set)), var.v_begin, var.v_end
                 ):
-                    m_ab, m_cd = qa.half_masks()
+                    m_ab, m_cd = m_q[0] | m_q[1], m_q[2] | m_q[3]
                     w_ab, w_cd = sx.compute_w_half(vinst, vinst.full_mask ^ m_set, m_ab, m_cd)
-                    quarter_of = dict(zip(qa.members, qa.quarters))
-                    assert list(_w_refinements(vinst, w_ab, w_cd, quarter_of))
+                    assert list(_w_refinements(vinst, w_ab, w_cd, m_q))
                     checked += 1
         assert checked > 10_000
 
